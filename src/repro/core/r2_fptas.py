@@ -14,7 +14,9 @@ Pipeline:
    the sentinel trick remains available through ``use_sentinel_times=True``
    for fidelity experiments;
 4. solve the graph-free two-machine instance with the ``(1 + eps)`` engine
-   (the paper's Jansen–Porkolab black box, see DESIGN.md §5);
+   (it stands in for the paper's Jansen–Porkolab black box; see
+   "Substitutes for the paper's black-box subroutines" in
+   ``docs/ARCHITECTURE.md``);
 5. map each artificial job's machine back to its component's orientation
    and expand to a full schedule.
 

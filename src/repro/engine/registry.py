@@ -117,10 +117,12 @@ class Capability:
     * ``identical`` — require identical machine speeds (``Q`` only);
     * ``min_machines`` / ``max_machines`` — bounds on ``m``
       (``max_machines=None`` means unbounded);
-    * ``supports_eligibility`` — whether the method honours per-job
-      machine-eligibility masks (``UniformInstance.eligible``); methods
-      that don't are rejected on masked instances rather than silently
-      producing mask-violating schedules.
+    * ``supports_eligibility`` — whether the method honours restricted
+      job/machine pairs: eligibility masks on ``Q``
+      (``UniformInstance.eligible``) and forbidden (``None``) times on
+      ``R``; methods that don't are rejected on such instances rather
+      than failing inside the solver or producing schedules that use a
+      forbidden pair.
 
     :meth:`evaluate` returns the *reasons* a requirement fails, which is
     what ``repro solve --explain`` surfaces per algorithm.
@@ -250,12 +252,16 @@ class Capability:
         elif self.graph == "block":
             if not is_block_structure(instance.graph):
                 reasons.append("requires a block conflict graph")
-        if (
-            not self.supports_eligibility
-            and is_uniform
-            and instance.has_eligibility
-        ):
-            reasons.append("cannot honour machine-eligibility masks")
+        if not self.supports_eligibility:
+            if isinstance(instance, UniformInstance) and instance.has_eligibility:
+                reasons.append("cannot honour machine-eligibility masks")
+            elif (
+                isinstance(instance, UnrelatedInstance)
+                and instance.has_eligibility
+            ):
+                reasons.append(
+                    "cannot honour forbidden job/machine pairs (null times)"
+                )
         return (not reasons, tuple(reasons))
 
     def check(self, instance: SchedulingInstance) -> bool:
@@ -664,7 +670,8 @@ _BUILTIN_SPECS = (
         run=_run_lst,
         ratio_bound=_ratio_two_if_edgeless,
         graph_blind=True,
-        capability=Capability(machine_kind="unrelated"),
+        # the LP only creates variables for allowed pairs
+        capability=Capability(machine_kind="unrelated", supports_eligibility=True),
         auto_rank=120,
         auto_when=_EDGELESS,
     ),
@@ -673,8 +680,12 @@ _BUILTIN_SPECS = (
         "feasible color split (no ratio bound; cf. Theorem 24)",
         "Theorem 24 context",
         run=r_color_split,
+        # machine pairs with a forbidden time for their class are skipped
         capability=Capability(
-            machine_kind="unrelated", graph="bipartite", min_machines=2
+            machine_kind="unrelated",
+            graph="bipartite",
+            min_machines=2,
+            supports_eligibility=True,
         ),
         auto_rank=130,
     ),

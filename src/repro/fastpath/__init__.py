@@ -2,8 +2,8 @@
 
 ``repro.fastpath`` is the "raw-speed core" from the ROADMAP: per-instance
 integer normalization (:mod:`~repro.fastpath.normalize`, the
-:class:`IntView` scaling certificate) plus two independent kernel tiers
-for each of the three hot loops:
+:class:`IntView` scaling certificate) plus accelerated kernels for four
+hot loops.  The first three have two independent kernel tiers each:
 
 * ``graphs.matching.hopcroft_karp`` — ``hopcroft_karp_int`` /
   ``hopcroft_karp_numpy``
@@ -13,12 +13,23 @@ for each of the three hot loops:
   exact oracle's per-node bound) — ``min_cover_time*_int`` /
   ``min_cover_time*_numpy``
 
+The fourth is Algorithm 5's Pareto DP,
+``scheduling.dp_unrelated.solve_r2_dp``.  Its reference is already
+integer, so it has one accelerated tier: ``r2_dp_layer_numpy`` builds
+one DP layer, and ``solve_r2_dp`` chooses per layer between it and the
+reference dict step (layers of at least :data:`R2_DP_NUMPY_MIN_STATES`
+states whose packed key fits ``int64``).  Both steps follow the dict's
+rules: a bucket keeps the first candidate with the strictly smallest
+``l2``, buckets are listed in the order of their first candidate
+(state by state, machine 1 before machine 2), and the final pick is
+the first state with minimal ``max(l1, l2)`` in that order.
+
 Selection is transparent: the public functions call the dispatchers
 here, which pick a kernel by the ``REPRO_FASTPATH`` environment
 variable and the instance size.  Nothing about results changes, ever —
 the differential suite (``tests/differential/``) asserts byte-identical
-outputs across all three tiers on every instance kind, and the
-tie-break policy that makes that possible is pinned in
+outputs across all tiers on every instance kind, and the tie-break
+policy that makes that possible is pinned in
 :mod:`~repro.fastpath.kernels_int`.
 
 ``REPRO_FASTPATH`` values:
@@ -29,7 +40,8 @@ tie-break policy that makes that possible is pinned in
 ``int``
     Integer kernels only (arbitrary-precision, no numpy) — useful to
     rule numpy in/out when debugging, and what the differential tests
-    use to pin each tier down individually.
+    use to pin each tier down individually.  The R2 DP runs its
+    reference dict step on every layer.
 anything else / unset
     Auto: numpy kernels above the size cutoffs below when numpy is
     importable and the operands fit ``int64`` (checked, never assumed),
@@ -75,6 +87,7 @@ __all__ = [
     "MATCHING_NUMPY_MIN_N",
     "GREEDY_NUMPY_MIN_JOBS",
     "COVER_NUMPY_MIN_MACHINES",
+    "R2_DP_NUMPY_MIN_STATES",
 ]
 
 _OFF_VALUES = frozenset({"0", "off", "false", "no"})
@@ -84,6 +97,10 @@ _OFF_VALUES = frozenset({"0", "off", "false", "no"})
 MATCHING_NUMPY_MIN_N = 512
 GREEDY_NUMPY_MIN_JOBS = 1024
 COVER_NUMPY_MIN_MACHINES = 256
+#: states in an R2 DP layer below which the dict step builds the next
+#: layer faster than the numpy step (the two break even at 64-95 states
+#: on sparse-fptas layers)
+R2_DP_NUMPY_MIN_STATES = 64
 
 #: below this average degree the vectorized BFS loses to the int kernel
 #: even on large graphs — the per-phase CSR gather moves more data than

@@ -532,6 +532,32 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
         {"m": mc, "demand": demand},
     )
 
+    # Algorithm 5's R2 DP at the shape the e2ebench sparse-fptas workload
+    # serves: R, m = 2, sparse G(k, k, 0.8/k), integer times in [1, 20],
+    # eps = 1/10; the rows are the ones r2_fptas hands to solve_r2_dp
+    from repro.core.r2_reduction import reduce_r2
+    from repro.random_graphs.gilbert import gnnp
+    from repro.scheduling.dp_unrelated import solve_r2_dp
+    from repro.scheduling.instance import UnrelatedInstance
+
+    half = 50 if smoke else 100
+    r2 = UnrelatedInstance(
+        gnnp(half, 0.8 / half, seed=11),
+        [[rng.randint(1, 20) for _ in range(2 * half)] for _ in range(2)],
+    )
+    reduction = reduce_r2(r2)
+    m1_times, m2_times = reduction.dummy_matrix()
+    dp_rows: list[list[Fraction | None]] = [
+        [*m1_times, reduction.private_load_m1, None],
+        [*m2_times, None, reduction.private_load_m2],
+    ]
+    add_case(
+        f"r2 dp R m=2 n={r2.n} deg=0.8 eps=1/10 ({len(dp_rows[0])} DP jobs)",
+        lambda times: solve_r2_dp(times, eps=Fraction(1, 10)),
+        (dp_rows,),
+        {"n": r2.n, "dp_jobs": len(dp_rows[0])},
+    )
+
     profile_args = unit_args
     return ScenarioOutcome(
         record=BenchRecord.build(

@@ -3,7 +3,8 @@
 The paper uses the Jansen–Porkolab FPTAS [15] as a black box (Theorem 20)
 inside Algorithm 5 and Theorem 4.  For two machines the same guarantee is
 delivered by a Pareto-state dynamic program with load trimming — see
-DESIGN.md §5 for why this substitution is behaviour-preserving:
+"Substitutes for the paper's black-box subroutines" in
+``docs/ARCHITECTURE.md`` for why this substitution is behaviour-preserving:
 
 * state after deciding jobs ``1..j`` = the pair of machine loads
   ``(l1, l2)``;
@@ -19,15 +20,26 @@ machines (the paper encodes the same constraint with a ``2T`` sentinel
 processing time).
 
 All arithmetic is integer after an exact rescaling of the rational inputs.
+
+The forward pass builds one layer per job.  Small layers go through the
+reference dict step (:func:`_layer_python`); once a layer holds
+``repro.fastpath.R2_DP_NUMPY_MIN_STATES`` states, auto fast-path mode
+builds the next one with
+:func:`repro.fastpath.kernels_numpy.r2_dp_layer_numpy`, which
+reproduces the dict's tie-breaks exactly, whenever its packed sort key
+fits ``int64``.  ``REPRO_FASTPATH=0`` or ``int`` keeps every layer on the
+dict step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
+from repro import fastpath
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
+from repro.fastpath import FastpathUnavailable, kernels_numpy
 from repro.utils.rationals import as_fraction, floor_fraction, rescale_to_integers
 
 __all__ = ["solve_r2_dp", "DPResult"]
@@ -105,41 +117,27 @@ def solve_r2_dp(
     prune = ub + n * delta
 
     # forward DP ---------------------------------------------------------
-    # flat state arrays; layer maps l1-bucket -> state index
-    l1s = [0]
-    l2s = [0]
-    parent = [-1]
-    choice = [-1]
-    layer: dict[int, int] = {0: 0}
+    # a layer is its states' loads in layer order; emitted_by_job[j][s]
+    # is the emission index 2 * parent position + machine of state s
+    numpy_step = (
+        fastpath.fastpath_mode() == "auto" and kernels_numpy.numpy_available()
+    )
+    l1: Any = [0]
+    l2: Any = [0]
+    emitted_by_job: list[Any] = []
     for j in range(n):
         a, b = t_int[0][j], t_int[1][j]
-        new_layer: dict[int, int] = {}
-        for idx in layer.values():
-            base1, base2 = l1s[idx], l2s[idx]
-            if a is not None:
-                nl1 = base1 + a
-                if nl1 <= prune:
-                    bucket = nl1 // delta
-                    at = new_layer.get(bucket)
-                    if at is None or base2 < l2s[at]:
-                        l1s.append(nl1)
-                        l2s.append(base2)
-                        parent.append(idx)
-                        choice.append(0)
-                        new_layer[bucket] = len(l1s) - 1
-            if b is not None:
-                nl2 = base2 + b
-                if nl2 <= prune:
-                    bucket = base1 // delta
-                    at = new_layer.get(bucket)
-                    if at is None or nl2 < l2s[at]:
-                        l1s.append(base1)
-                        l2s.append(nl2)
-                        parent.append(idx)
-                        choice.append(1)
-                        new_layer[bucket] = len(l1s) - 1
-        layer = new_layer
-        if not layer:
+        step = None
+        if numpy_step and len(l1) >= fastpath.R2_DP_NUMPY_MIN_STATES:
+            try:
+                step = kernels_numpy.r2_dp_layer_numpy(l1, l2, a, b, delta, prune)
+            except FastpathUnavailable:
+                pass
+        if step is None:
+            step = _layer_python(_as_list(l1), _as_list(l2), a, b, delta, prune)
+        l1, l2, emitted = step
+        emitted_by_job.append(emitted)
+        if not len(l1):
             # the min-time branch keeps l1 + l2 <= ub <= prune, so an
             # empty layer means the prune bound itself is broken
             raise InfeasibleInstanceError(
@@ -147,14 +145,76 @@ def solve_r2_dp(
                 f"survives the prune bound {prune}"
             )
 
-    best_idx = min(layer.values(), key=lambda s: max(l1s[s], l2s[s]))
+    l1, l2 = _as_list(l1), _as_list(l2)
+    best = min(range(len(l1)), key=lambda s: max(l1[s], l2[s]))
 
     # reconstruct --------------------------------------------------------
     assignment = [0] * n
-    idx = best_idx
+    pos = best
     for j in range(n - 1, -1, -1):
-        assignment[j] = choice[idx]
-        idx = parent[idx]
+        emission = int(emitted_by_job[j][pos])
+        assignment[j] = emission & 1
+        pos = emission >> 1
 
-    makespan = Fraction(max(l1s[best_idx], l2s[best_idx]), scale)
+    makespan = Fraction(max(l1[best], l2[best]), scale)
     return DPResult(makespan, tuple(assignment))
+
+
+def _as_list(loads: Any) -> list[int]:
+    """A layer's loads as Python ints (the numpy step returns arrays)."""
+    return loads if isinstance(loads, list) else loads.tolist()
+
+
+def _layer_python(
+    l1: list[int],
+    l2: list[int],
+    a: int | None,
+    b: int | None,
+    delta: int,
+    prune: int,
+) -> tuple[list[int], list[int], list[int]]:
+    """One DP layer with a dict: the reference step.
+
+    State ``p`` of the current layer emits the job on machine 1 (bucket
+    ``(l1 + a) // delta``) and then on machine 2 (bucket ``l1 // delta``),
+    skipping candidates above ``prune``.  The dict keeps each bucket at
+    the position of its first candidate; a later candidate replaces the
+    holder only with a strictly smaller ``l2``.  Returns the next layer
+    in dict order as ``(l1, l2, emitted)``, with ``emitted[s] = 2 *
+    parent position + machine``.
+    """
+    slot: dict[int, int] = {}
+    new1: list[int] = []
+    new2: list[int] = []
+    emitted: list[int] = []
+    for pos in range(len(l1)):
+        base1, base2 = l1[pos], l2[pos]
+        if a is not None:
+            nl1 = base1 + a
+            if nl1 <= prune:
+                bucket = nl1 // delta
+                at = slot.get(bucket)
+                if at is None:
+                    slot[bucket] = len(new1)
+                    new1.append(nl1)
+                    new2.append(base2)
+                    emitted.append(2 * pos)
+                elif base2 < new2[at]:
+                    new1[at] = nl1
+                    new2[at] = base2
+                    emitted[at] = 2 * pos
+        if b is not None:
+            nl2 = base2 + b
+            if nl2 <= prune:
+                bucket = base1 // delta
+                at = slot.get(bucket)
+                if at is None:
+                    slot[bucket] = len(new1)
+                    new1.append(base1)
+                    new2.append(nl2)
+                    emitted.append(2 * pos + 1)
+                elif nl2 < new2[at]:
+                    new1[at] = base1
+                    new2[at] = nl2
+                    emitted[at] = 2 * pos + 1
+    return new1, new2, emitted

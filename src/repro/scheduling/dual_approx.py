@@ -23,9 +23,10 @@ is certified.  Otherwise every machine ends at most ``eps*T`` above
 
 The uniform-machine generalisation in [11] (and its EPTAS successor
 [14]) uses a substantially more intricate bin-packing-with-variable-bins
-argument; per DESIGN.md §5 we substitute graph-blind LPT (classical
-factor 2 on uniform machines) where the experiments need a ``Q||Cmax``
-comparator, and use this PTAS on the identical-machine suites.
+argument; we substitute graph-blind LPT (classical factor 2 on uniform
+machines) where the experiments need a ``Q||Cmax`` comparator, and use
+this PTAS on the identical-machine suites (see "Substitutes for the
+paper's black-box subroutines" in ``docs/ARCHITECTURE.md``).
 
 This substrate is **graph-blind by contract**: it requires an edgeless
 incompatibility graph and refuses anything else.

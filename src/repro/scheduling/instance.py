@@ -245,7 +245,7 @@ class UnrelatedInstance(SchedulingInstance):
     load jobs this way).
     """
 
-    __slots__ = ("graph", "times")
+    __slots__ = ("graph", "times", "_forbidden")
 
     def __init__(
         self,
@@ -254,6 +254,7 @@ class UnrelatedInstance(SchedulingInstance):
     ) -> None:
         self.graph = graph
         rows: list[tuple[Fraction | None, ...]] = []
+        self._forbidden = False
         for i, row in enumerate(times):
             if len(row) != graph.n:
                 raise InvalidInstanceError(
@@ -263,6 +264,7 @@ class UnrelatedInstance(SchedulingInstance):
             for j, t in enumerate(row):
                 if t is None:
                     conv.append(None)
+                    self._forbidden = True
                 else:
                     f = as_fraction(t)
                     if f < 0:
@@ -281,6 +283,14 @@ class UnrelatedInstance(SchedulingInstance):
     @property
     def m(self) -> int:
         return len(self.times)
+
+    @property
+    def has_eligibility(self) -> bool:
+        """Whether any job is forbidden on some machine (a ``None`` time).
+
+        The ``R`` counterpart of :attr:`UniformInstance.has_eligibility`.
+        """
+        return self._forbidden
 
     def with_graph(self, graph: ConflictGraph) -> "UnrelatedInstance":
         """The same time matrix under a different graph representation.

@@ -5,7 +5,9 @@ by ``regen_corpus.py``) freezes ~50 cross-kind instances together with
 the makespan the reference tier produced for them.  Failures here
 reproduce immediately from a committed file — no Hypothesis shrinking,
 no randomness — which is exactly what you want when a kernel change
-breaks equivalence.
+breaks equivalence.  The ``r2dp-*`` records are Algorithm 5 instances
+with 150-300 jobs: auto mode builds their DP layers with the numpy step,
+so comparing modes compares it with the reference dict step.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ def test_corpus_shape():
         "runheavy-single-group",
         "runheavy-two-group",
         "runheavy-three-group",
+        "r2dp-q-",
+        "r2dp-r-",
         "-unit-",
         "-mixed-",
         "-identical-",

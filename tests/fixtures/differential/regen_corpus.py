@@ -128,8 +128,8 @@ def build_candidates(rng: random.Random):
             eligible=eligible,
         )
         yield f"eligible-{gk}-{i}", inst
-    # 8 unrelated instances (m = 2, 3 and above the coloring need);
-    # dispatch has no solver for forbidden pairs yet, so times stay finite
+    # 8 unrelated instances (m = 2, 3 and above the coloring need), all
+    # times finite
     for i in range(8):
         gk = graph_kinds[i % 3]
         g, k_min = _graph(rng, gk, 8)
@@ -143,6 +143,9 @@ def build_candidates(rng: random.Random):
     # event-calendar batching inputs.  A fresh generator (SEED + 1) keeps
     # every earlier record byte-identical across regenerations.
     yield from build_run_heavy_candidates(random.Random(SEED + 1))
+    # Algorithm 5 at full size: DP layers far above the numpy step's
+    # cutoff; again a fresh generator keeps the records above unchanged
+    yield from build_r2dp_candidates(random.Random(SEED + 2))
 
 
 def build_run_heavy_candidates(rng: random.Random):
@@ -177,6 +180,40 @@ def build_run_heavy_candidates(rng: random.Random):
             inst = UniformInstance(g, p, speeds)
             yield f"runheavy-{suffix}-sizes{n_sizes}-{idx}", inst
             idx += 1
+
+
+def build_r2dp_candidates(rng: random.Random):
+    """Yield (tag, instance) that ``auto`` sends to Algorithm 5 (m = 2).
+
+    Sparse ``G(k, k, 0.8/k)`` with 150-300 jobs, uniform (``q2_fptas``)
+    and unrelated (``r2_fptas``): their DP layers hold hundreds of
+    states, so auto fast-path mode builds them with the numpy step.
+    """
+    shapes = [
+        ("q-integer", 75, "integer"),
+        ("q-rational", 150, "rational"),
+        ("r-integer", 100, None),
+        ("r-rational", 125, None),
+    ]
+    for idx, (suffix, k, speed_kind) in enumerate(shapes):
+        g = _bipartite(rng, k, k, 0.8 / k)
+        if speed_kind is not None:
+            inst = UniformInstance(
+                g, _p(rng, g.n, False), _speeds(rng, 2, speed_kind)
+            )
+        elif suffix == "r-integer":
+            inst = UnrelatedInstance(
+                g, [[rng.randint(1, 20) for _ in range(g.n)] for _ in range(2)]
+            )
+        else:
+            inst = UnrelatedInstance(
+                g,
+                [
+                    [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(g.n)]
+                    for _ in range(2)
+                ],
+            )
+        yield f"r2dp-{suffix}-n{g.n}-{idx}", inst
 
 
 def main() -> None:

@@ -1,5 +1,6 @@
 """Tests for :mod:`repro.engine.registry` — capabilities and plugins."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from repro.engine import (
     solve,
     unregister_algorithm,
 )
-from repro.exceptions import InvalidInstanceError
+from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs import generators
+from repro.graphs.bipartite import BipartiteGraph
 from repro.scheduling.instance import (
     UnrelatedInstance,
     unit_uniform_instance,
@@ -32,6 +34,12 @@ def _q2_unit():
 
 def _r2():
     return UnrelatedInstance(generators.matching_graph(1), [[2, 3], [5, 1]])
+
+
+def _r2_forbidden():
+    # job 1 cannot run on machine 0; jobs 0 and 2 conflict
+    graph = BipartiteGraph(3, [(0, 2)], side=[0, 0, 1])
+    return UnrelatedInstance(graph, [[1, None, 2], [3, 4, 5]])
 
 
 class TestCapability:
@@ -109,6 +117,47 @@ class TestCapability:
         )
         text = " / ".join(cap.requirements())
         assert "uniform" in text and "unit jobs" in text and "m = 2" in text
+
+    def test_forbidden_pairs_need_eligibility_support(self):
+        """R forbidden (None) times count as eligibility, like Q masks."""
+        pinned = _r2_forbidden()
+        assert pinned.has_eligibility and not _r2().has_eligibility
+        ok, reasons = Capability(machine_kind="unrelated").evaluate(pinned)
+        assert not ok
+        assert reasons == ("cannot honour forbidden job/machine pairs (null times)",)
+        assert Capability(machine_kind="unrelated", supports_eligibility=True).check(
+            pinned
+        )
+        assert not REGISTRY["r2_fptas"].applies(pinned)
+        assert not REGISTRY["r2_two_approx"].applies(pinned)
+
+
+@pytest.mark.parametrize("name", ["r_color_split", "lst"])
+def test_r_methods_marked_for_forbidden_pairs_honour_them(name):
+    """The R methods that declare eligibility support never place a job
+    on a machine where its time is forbidden."""
+    rng = random.Random(7)
+    assert REGISTRY[name].capability.supports_eligibility
+    solved = 0
+    for _ in range(20):
+        m = rng.randint(2, 4)
+        # lst is graph-blind, so its schedules are only feasible edgeless
+        edges = [] if name == "lst" else [(0, 4), (1, 5), (2, 4)]
+        graph = BipartiteGraph.from_parts(4, 4, [(u, v - 4) for u, v in edges])
+        times = [[rng.randint(1, 9) for _ in range(8)] for _ in range(m)]
+        for j in range(8):
+            for i in rng.sample(range(m), m - 1):
+                if rng.random() < 0.15:
+                    times[i][j] = None
+        instance = UnrelatedInstance(graph, times)
+        try:
+            schedule = solve(instance, algorithm=name)
+        except InfeasibleInstanceError:
+            continue  # the color split can find no machine pair
+        solved += 1
+        assert all(times[i][j] is not None for j, i in enumerate(schedule.assignment))
+        assert schedule.is_feasible()
+    assert solved >= 10
 
 
 class TestAlgorithmSpec:

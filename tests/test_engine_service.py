@@ -118,6 +118,33 @@ class TestSolveRequests:
         assert cached["cached"] is True
         assert cached["explain"]["chosen"] == "q2_unit_exact"
 
+    def test_r2_with_forbidden_time_routes_past_algorithm_5(self):
+        """R, m = 2 with a null time used to reach r2_fptas, whose
+        Algorithm 3 reduction rejects forbidden pairs; auto now skips it
+        and explains why."""
+        payload = {
+            "format": "repro/v1",
+            "kind": "unrelated_instance",
+            "graph": {
+                "format": "repro/v1",
+                "kind": "graph",
+                "n": 3,
+                "side": [0, 0, 1],
+                "edges": [[0, 2]],
+            },
+            "times": [["1", None, "2"], ["3", "4", "5"]],
+        }
+        line = json.dumps(
+            {"op": "solve", "id": 1, "instance": payload, "explain": True}
+        )
+        response = json.loads(EngineService().handle_line(line))
+        assert response["ok"] is True, response.get("error")
+        assert response["chosen"] == "r_color_split"
+        assert Fraction(response["makespan"]) == 7
+        why = {e["name"]: e["why"] for e in response["explain"]["entries"]}
+        assert why["r2_fptas"] == "cannot honour forbidden job/machine pairs (null times)"
+        assert why["r2_two_approx"] == why["r2_fptas"]
+
 
 class TestErrors:
     def test_malformed_line(self):
