@@ -33,9 +33,10 @@ The search inner loop memoizes everything that never changes during the
 search — per-job neighbour sets, the suffix of cheapest eligible
 processing times behind the unrelated volume bound, and the
 identical-machine-row classes behind the empty-machine symmetry break —
-instead of recomputing them at every node; the pre-optimization loop is
-preserved as :func:`repro.perf.baselines.certified_optimal_baseline`
-(same search tree, measured by ``repro perf --target oracle``).
+instead of recomputing them at every node.  The search tree is pinned
+by recorded ``(makespan, nodes, proof)`` values in
+``tests/test_certify_oracle.py``; ``BENCH_PERF_oracle.json`` keeps the
+historical measurement against the per-node recomputing loop.
 
 **Parallel certified search.**  ``certified_optimal(instance,
 workers=k)`` with ``k > 1`` root-splits the branch and bound: the first

@@ -28,12 +28,11 @@ Commands
     requests on stdin (or a TCP socket with ``--port``), canonical
     content-hash keys, repeats answered from a sharded result cache.
 ``perf``
-    Measure the optimized hot paths (Hopcroft–Karp, greedy list
-    scheduling, the exact oracle, BatchRunner fan-out) against their
-    preserved pre-optimization baselines and emit machine-readable
-    ``BENCH_PERF_*`` artifacts; ``--check DIR`` validates existing
-    ``BENCH_*.json`` artifacts against the schema instead (the CI
-    gate).
+    Measure the optimized hot paths (the numpy tiers against the integer
+    references, the parallel oracle, BatchRunner fan-out) against what
+    they replace and emit machine-readable ``BENCH_PERF_*`` artifacts;
+    ``--check DIR`` validates existing ``BENCH_*.json`` artifacts
+    against the schema instead (the CI gate).
 ``experiment``
     Re-run one experiment (E1..) by invoking its benchmark file through
     pytest.
@@ -321,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="measure the optimized hot paths against their preserved "
-        "baselines and emit BENCH_PERF_* artifacts (or --check existing "
+        help="measure the optimized hot paths against what they replace "
+        "and emit BENCH_PERF_* artifacts (or --check existing "
         "BENCH_*.json artifacts against the schema)",
     )
     perf.add_argument(

@@ -258,11 +258,13 @@ def complete_multipartite_min_time(
     def groups_at(t: Fraction) -> list[int | None] | None:
         return _feasible_groups(_capacities(speeds, t, total_jobs), demands, total_jobs)
 
-    # candidate times where any capacity floor(s_i * t) jumps
+    # candidate times where any capacity min(floor(s_i * t), total_jobs)
+    # jumps; past total_jobs a capped capacity no longer changes, so the
+    # count per machine stays bounded however large the speed ratio
     candidates: set[Fraction] = {hi}
     for s in speeds:
         c_lo = max(1, ceil_fraction(s * lo))
-        c_hi = floor_fraction(s * hi)
+        c_hi = min(floor_fraction(s * hi), total_jobs)
         for c in range(c_lo, c_hi + 1):
             candidates.add(Fraction(c) / s)
     times = sorted(t for t in candidates if lo <= t <= hi)

@@ -1,6 +1,6 @@
 """The solver engine: registry, dispatch, portfolio, serving.
 
-Four cooperating layers replace the old monolithic ``repro.solvers``:
+Five cooperating layers:
 
 * :mod:`repro.engine.registry` — a declarative plugin registry; each
   algorithm is an :class:`AlgorithmSpec` with structured
@@ -21,8 +21,6 @@ Four cooperating layers replace the old monolithic ``repro.solvers``:
   default for ``repro serve --port``): many connections on one event
   loop, solves on a worker pool, in-flight coalescing by content hash,
   admission control, and a p50/p95/p99 latency surface.
-
-``repro.solvers`` remains as a thin back-compat shim over this package.
 """
 
 from repro.engine.registry import (

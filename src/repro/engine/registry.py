@@ -14,8 +14,7 @@ auditor, with no dispatch code touched.
 The registry is ordered (registration order is the presentation order
 everywhere) and the module-level :data:`REGISTRY` is pre-populated with
 the paper's algorithm family; :data:`ALGORITHMS` is the same object under
-its historical name, so ``repro.solvers.ALGORITHMS`` keeps working as a
-live mapping view.
+its historical name.
 
 Note for multiprocessing users: worker processes re-import this module,
 so plugins registered at runtime in the parent are visible to
@@ -722,7 +721,7 @@ for _spec in _BUILTIN_SPECS:
     REGISTRY.register(_spec)
 del _spec
 
-#: historical name — the same live mapping (``repro.solvers.ALGORITHMS``)
+#: historical name — the same live mapping
 ALGORITHMS = REGISTRY
 
 

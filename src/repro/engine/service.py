@@ -30,6 +30,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, TextIO
@@ -197,6 +198,18 @@ def parse_solve_request(
     return payload, algorithm, portfolio_k, cache_algorithm
 
 
+def _float_or_none(value: Fraction) -> float | None:
+    """``float(value)``, or ``None`` when it is outside float range.
+
+    The exact ``makespan`` string stays authoritative; the float is a
+    convenience for display and may be absent.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def build_solve_record(
     payload: dict[str, Any],
     algorithm: str,
@@ -236,7 +249,7 @@ def build_solve_record(
         "m": instance.m,
         "edges": instance.graph.edge_count,
         "makespan": frac_str(schedule.makespan),
-        "makespan_float": float(schedule.makespan),
+        "makespan_float": _float_or_none(schedule.makespan),
         "feasible": schedule.is_feasible(),
         "assignment": list(schedule.assignment),
         "cached": False,

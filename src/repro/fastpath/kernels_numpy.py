@@ -1,23 +1,13 @@
-"""Numpy-vectorized kernels, overflow-guarded, import-safe without numpy.
+"""The numpy tier of the hot loops, overflow-guarded.
 
-Numpy is a declared dependency, but the fast path must not *require* it
-(``repro.staticcheck`` RS005 exempts numpy precisely because the core
-degrades gracefully): every entry point here raises
-:exc:`FastpathUnavailable` when numpy is missing or when the operands
-would overflow ``int64``, and the dispatchers in the public modules
-fall back to the pure-Python integer kernels.  Overflow is *checked*,
-never assumed — a silently wrapped ``int64`` would corrupt an exact
-result, which is the one failure mode this subsystem exists to make
-impossible (the differential suite crosses ``2**63`` on purpose).
+Each kernel here reproduces an integer reference kept in the module
+that owns the public function, and raises :exc:`FastpathUnavailable`
+when its operands would overflow ``int64``; the caller then runs the
+integer reference.  Overflow is *checked*, never assumed — a silently
+wrapped ``int64`` would corrupt an exact result, which is the one
+failure mode this tier must make impossible (the differential suite
+crosses ``2**63`` on purpose).
 
-Vectorized pieces:
-
-* ``hopcroft_karp_numpy`` — the BFS phase runs level-synchronously on a
-  CSR adjacency (one :func:`numpy.repeat` gather per level); the
-  augmenting DFS is inherently sequential and stays in Python, reusing
-  the exact iteration order of the int kernel, so the mate array is
-  byte-identical (a vertex's BFS level is its graph distance, which no
-  intra-level reordering can change).
 * ``assign_group_greedy_numpy`` — the LPT order is a
   :func:`numpy.lexsort`; when all jobs in the batch have one size and
   all machines one speed, greedy placement collapses to round-robin
@@ -27,9 +17,10 @@ Vectorized pieces:
   search finds the run's completion-key threshold, the surviving
   ``(key, rank)`` pairs are generated wholesale and ordered by one
   :func:`numpy.lexsort` — no per-job work at all.  Short runs keep
-  the integer kernel's heap loop.
-* ``capacity_at_numpy`` — the ``sum_i floor(S_i * num / d)`` capacity
-  evaluation behind the cover-time bounds as one vector expression.
+  the integer reference's heap loop.
+* ``min_cover_time_with_loads_numpy`` — the jump-point candidates of
+  :mod:`repro.scheduling.bounds` generated as arrays, each capacity
+  probe one vectorized floor-sum.
 * ``r2_dp_layer_numpy`` — one layer of the Algorithm 5 Pareto DP
   (:func:`repro.scheduling.dp_unrelated.solve_r2_dp`): every
   candidate's ``(bucket, l2, emission index)`` is packed into one
@@ -43,25 +34,15 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.exceptions import InvalidInstanceError, ReproError
 
-try:  # pragma: no cover - exercised via numpy_available()
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.graphs.bipartite import BipartiteGraph
-
 __all__ = [
     "FastpathUnavailable",
-    "numpy_available",
-    "hopcroft_karp_numpy",
     "assign_group_greedy_numpy",
-    "capacity_at_numpy",
-    "min_cover_time_numpy",
     "min_cover_time_with_loads_numpy",
     "r2_dp_layer_numpy",
 ]
@@ -76,124 +57,7 @@ _GREEDY_RUN_MIN = 32
 
 
 class FastpathUnavailable(ReproError):
-    """A numpy kernel cannot run here (no numpy, or int64 would overflow)."""
-
-
-def numpy_available() -> bool:
-    """Whether the numpy kernels can be used at all."""
-    return np is not None
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise FastpathUnavailable("numpy is not importable")
-
-
-# --------------------------------------------------------------------- #
-# Hopcroft–Karp: vectorized BFS, sequential DFS
-# --------------------------------------------------------------------- #
-
-
-def hopcroft_karp_numpy(graph: "BipartiteGraph") -> list[int]:
-    """Maximum-matching mate array with a CSR/numpy BFS phase."""
-    _require_numpy()
-    n = graph.n
-    unreached = n + 1
-    left = graph.vertices_on_side(0)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    mate = [-1] * n
-    for u in left:
-        nbrs = list(graph.neighbors(u))
-        adj[u] = nbrs
-        for v in nbrs:
-            if mate[v] == -1:
-                mate[u] = v
-                mate[v] = u
-                break
-    # CSR over ALL vertices (right rows are empty) so frontier indices
-    # need no translation
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for u in left:
-        indptr[u + 1] = len(adj[u])
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for u in left:
-        indices[int(indptr[u]) : int(indptr[u + 1])] = adj[u] or []
-    left_arr = np.asarray(left, dtype=np.int64)
-
-    path_u: list[int] = []
-    path_v: list[int] = []
-    iters: list[Iterator[int]] = []
-    while True:
-        mate_arr = np.asarray(mate, dtype=np.int64)
-        dist_arr = np.full(n, unreached, dtype=np.int64)
-        if left_arr.size:
-            frontier = left_arr[mate_arr[left_arr] == -1]
-        else:
-            frontier = left_arr
-        dist_arr[frontier] = 0
-        found = False
-        level = 0
-        while frontier.size:
-            level += 1
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            # gather all neighbours of the frontier in one shot
-            offsets = np.repeat(starts, counts) + (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(np.cumsum(counts) - counts, counts)
-            )
-            vs = indices[offsets]
-            ws = mate_arr[vs]
-            if not found and bool((ws == -1).any()):
-                found = True
-            ws = ws[ws != -1]
-            ws = ws[dist_arr[ws] == unreached]
-            if ws.size == 0:
-                frontier = ws
-                continue
-            ws = np.unique(ws)
-            dist_arr[ws] = level
-            frontier = ws
-        if not found:
-            return mate
-        dist = dist_arr.tolist()
-        # augmenting DFS: identical to the int kernel, byte for byte
-        for root in left:
-            if mate[root] != -1:
-                continue
-            path_u.append(root)
-            iters.append(iter(adj[root]))
-            while path_u:
-                u = path_u[-1]
-                du1 = dist[u] + 1
-                for v in iters[-1]:
-                    w = mate[v]
-                    if w == -1:
-                        path_v.append(v)
-                        for k in range(len(path_u)):
-                            pu = path_u[k]
-                            pv = path_v[k]
-                            mate[pu] = pv
-                            mate[pv] = pu
-                        path_u.clear()
-                        path_v.clear()
-                        iters.clear()
-                        break
-                    if dist[w] == du1:
-                        path_v.append(v)
-                        path_u.append(w)
-                        iters.append(iter(adj[w]))
-                        break
-                else:
-                    dist[u] = unreached
-                    path_u.pop()
-                    iters.pop()
-                    if path_v:
-                        path_v.pop()
+    """A numpy kernel cannot run here: ``int64`` would overflow."""
 
 
 # --------------------------------------------------------------------- #
@@ -209,11 +73,10 @@ def assign_group_greedy_numpy(
 ) -> dict[int, int]:
     """Numpy-accelerated greedy list scheduling (same tie-break policy).
 
-    Raises :exc:`FastpathUnavailable` when numpy is missing or job
-    sizes / scaled speeds would not fit ``int64`` — callers fall back
-    to :func:`repro.fastpath.kernels_int.assign_group_greedy_int`.
+    Raises :exc:`FastpathUnavailable` when job sizes or scaled speeds
+    would not fit ``int64`` — the caller then runs the integer
+    reference, :func:`repro.scheduling.list_scheduling._greedy_int`.
     """
-    _require_numpy()
     if not machines:
         if jobs:
             raise InvalidInstanceError(
@@ -392,41 +255,6 @@ def assign_group_greedy_numpy(
 
 
 # --------------------------------------------------------------------- #
-# capacity evaluation for the cover-time bounds
-# --------------------------------------------------------------------- #
-
-
-def capacity_at_numpy(
-    speeds_scaled: Any, num: int, d: int, loads: Any = None
-) -> int:
-    """``sum_i max(0, (S_i * num) // d - load_i)`` as one vector op.
-
-    ``speeds_scaled`` (and ``loads``) may be pre-built int64 arrays so
-    repeated binary-search probes share the conversion.  Raises
-    :exc:`FastpathUnavailable` on potential int64 overflow — the probe
-    multiplies ``S_i * num``, so both factors are bounded explicitly.
-    """
-    _require_numpy()
-    try:
-        arr = np.asarray(speeds_scaled, dtype=np.int64)
-        loads_arr = (
-            None if loads is None else np.asarray(loads, dtype=np.int64)
-        )
-    except OverflowError as exc:
-        raise FastpathUnavailable(
-            "operands exceed the int64 safety bound"
-        ) from exc
-    if arr.size == 0:
-        return 0
-    if num >= _INT64_SAFE or d >= _INT64_SAFE or int(arr.max()) * max(num, 1) >= _INT64_SAFE:
-        raise FastpathUnavailable("operands exceed the int64 safety bound")
-    floors = (arr * np.int64(num)) // np.int64(d)
-    if loads_arr is not None:
-        floors = np.maximum(floors - loads_arr, 0)
-    return int(floors.sum())
-
-
-# --------------------------------------------------------------------- #
 # cover-time bounds: vectorized jump-point search
 # --------------------------------------------------------------------- #
 
@@ -434,7 +262,7 @@ def capacity_at_numpy(
 def _search_jump_points(
     speeds_scaled: Sequence[int],
     scale: int,
-    loads: Sequence[int] | None,
+    loads: Sequence[int],
     demand: int,
     lo: Fraction,
     hi: Fraction,
@@ -459,18 +287,17 @@ def _search_jump_points(
     d_hi = hi_den * scale
     max_c = (s_max * hi_num) // d_hi
     max_num = max(max_c * scale, hi_num, lo_num)
-    load_max = max(loads) if loads else 0
     if (
         max_num >= _INT64_SAFE
         or max(d_lo, d_hi) >= _INT64_SAFE
         or s_max * max(max_num, 1) >= _INT64_SAFE // max(m, 1)
-        or load_max >= _INT64_SAFE
+        or max(loads) >= _INT64_SAFE
     ):
         raise FastpathUnavailable("operands exceed the int64 safety bound")
     arr = np.asarray(speeds_scaled, dtype=np.int64)
-    loads_arr = np.asarray(loads, dtype=np.int64) if loads is not None else None
+    loads_arr = np.asarray(loads, dtype=np.int64)
     # per-machine candidate windows c_lo..c_hi (c counts completed units
-    # on that machine), exactly the int kernel's bracketing
+    # on that machine), exactly the integer reference's bracketing
     c_lo = np.maximum(1, (arr * np.int64(lo_num) + np.int64(d_lo - 1)) // np.int64(d_lo))
     c_hi = (arr * np.int64(hi_num)) // np.int64(d_hi)
     counts = np.maximum(c_hi - c_lo + 1, 0)
@@ -498,35 +325,12 @@ def _search_jump_points(
         mid = (left + right) // 2
         _, num, den = items[mid]
         floors = (arr * np.int64(num)) // np.int64(den * scale)
-        if loads_arr is not None:
-            floors = np.maximum(floors - loads_arr, 0)
-        if int(floors.sum()) >= demand:
+        if int(np.maximum(floors - loads_arr, 0).sum()) >= demand:
             _, ans_num, ans_den = items[mid]
             right = mid - 1
         else:
             left = mid + 1
     return Fraction(ans_num, ans_den)
-
-
-def min_cover_time_numpy(
-    speeds_scaled: Sequence[int], scale: int, demand: int
-) -> Fraction:
-    """Vectorized :func:`repro.fastpath.kernels_int.min_cover_time_int`.
-
-    Same window, same jump-point candidate set, same least-feasible
-    answer — the returned :class:`Fraction` is canonically identical to
-    both the int kernel's and the rational reference's.
-    """
-    _require_numpy()
-    if demand <= 0:
-        return Fraction(0)
-    if not speeds_scaled:
-        raise InvalidInstanceError("positive demand but no machines")
-    m = len(speeds_scaled)
-    total = sum(speeds_scaled)
-    lo = Fraction(demand * scale, total)
-    hi = Fraction((demand + m) * scale, total)
-    return _search_jump_points(speeds_scaled, scale, None, demand, lo, hi)
 
 
 def min_cover_time_with_loads_numpy(
@@ -535,8 +339,7 @@ def min_cover_time_with_loads_numpy(
     loads: Sequence[int],
     demand: int,
 ) -> Fraction:
-    """Vectorized pre-loaded cover time (same semantics as the int kernel)."""
-    _require_numpy()
+    """Vectorized :func:`repro.scheduling.bounds.min_cover_time_with_loads`."""
     if len(speeds_scaled) != len(loads):
         raise InvalidInstanceError(
             f"{len(loads)} loads for {len(speeds_scaled)} machines"
@@ -588,7 +391,6 @@ def r2_dp_layer_numpy(
     :exc:`FastpathUnavailable` when the packed key could overflow
     ``int64``; the caller then runs the reference step.
     """
-    _require_numpy()
     slots = 2 * len(l1)
     e_bits = (slots - 1).bit_length()
     l2_bits = prune.bit_length()

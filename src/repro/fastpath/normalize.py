@@ -1,7 +1,8 @@
 """Per-instance integer normalization: the :class:`IntView` certificate.
 
-Every fast-path kernel in :mod:`repro.fastpath` runs on machine
-integers, not :class:`~fractions.Fraction` objects.  The bridge is a
+The integer references of the greedy and cover-time hot loops, and
+their numpy tier, run on machine integers, not
+:class:`~fractions.Fraction` objects.  The bridge is a
 one-time *normalization*: multiply all machine speeds by the least
 common multiple ``scale`` of their denominators, so that
 
@@ -18,8 +19,8 @@ original rationals and checking minimality of the scale.  The
 differential suite (``tests/differential/``) property-tests this
 round-trip for random rational speed vectors, including big-int scales
 beyond ``2**63`` — Python integers are arbitrary precision, so nothing
-silently truncates (the numpy kernels must *check* their operands fit
-``int64`` and fall back; see :mod:`repro.fastpath.kernels_numpy`).
+silently truncates (the numpy tier must *check* its operands fit
+``int64`` and decline; see :mod:`repro.fastpath.kernels_numpy`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "int_view",
     "scaled_speeds",
     "scaled_speeds_cache_stats",
-    "scaled_speeds_cache_clear",
 ]
 
 
@@ -84,10 +84,6 @@ class IntView:
             if Fraction(scaled, self.scale) != speed:
                 return False
         return self.scale == lcm_of_denominators(self.speeds)
-
-    def completion(self, machine: int, load: int) -> Fraction:
-        """Exact completion time of ``machine`` carrying ``load`` units."""
-        return Fraction(load * self.scale, self.speeds_scaled[machine])
 
 
 class _ScaledSpeedsCache:
@@ -145,12 +141,6 @@ class _ScaledSpeedsCache:
                 "maxsize": self.maxsize,
             }
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
 
 _SPEEDS_CACHE = _ScaledSpeedsCache(maxsize=256)
 
@@ -158,11 +148,6 @@ _SPEEDS_CACHE = _ScaledSpeedsCache(maxsize=256)
 def scaled_speeds_cache_stats() -> dict[str, int]:
     """Hit/miss/size counters of the ``scaled_speeds`` content cache."""
     return _SPEEDS_CACHE.stats()
-
-
-def scaled_speeds_cache_clear() -> None:
-    """Drop every cached normalization (tests / leak hunts)."""
-    _SPEEDS_CACHE.clear()
 
 
 def scaled_speeds(speeds: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
@@ -199,7 +184,7 @@ def int_view(instance: "UniformInstance") -> IntView:
     ------
     repro.exceptions.InvalidInstanceError
         If the certificate fails to verify (cannot happen for a valid
-        instance; the check is the fast path's safety net).
+        instance; the check is the integer kernels' safety net).
     """
     scaled, scale = scaled_speeds(tuple(instance.speeds))
     view = IntView(

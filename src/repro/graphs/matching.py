@@ -5,9 +5,7 @@ by König's theorem ``alpha(G) = n - mu(G)`` for bipartite ``G`` on ``n``
 vertices, which Lemma 14 and Theorem 19 use to lower-bound the work that
 must leave machine ``M_1``.
 
-Runs in ``O(E sqrt(V))``.  Optimized (vs the preserved reference
-:func:`repro.perf.baselines.hopcroft_karp_baseline`, measured by
-``repro perf --target hopcroft_karp``):
+Runs in ``O(E sqrt(V))`` on plain integers:
 
 * **adjacency reuse** — each left vertex's neighbourhood is materialised
   once per call as a plain list, so every BFS/DFS phase walks lists
@@ -16,21 +14,19 @@ Runs in ``O(E sqrt(V))``.  Optimized (vs the preserved reference
 * **greedy seeding** — a maximal matching is built during the adjacency
   pass, so the phase loop only has to augment the (typically small)
   remainder instead of growing the matching from empty;
+* **integer levels** — "unreached" is the sentinel ``n + 1``, so level
+  comparisons and resets never leave int space;
 * **iterative DFS** — the augmenting search keeps an explicit
   path/iterator stack in plain locals: no recursion, no recursion-limit
   juggling, no per-frame Python call overhead.
 """
-
 from __future__ import annotations
 
 from collections import deque
 
-from repro import fastpath
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["hopcroft_karp", "maximum_matching_size", "is_matching"]
-
-_INF = float("inf")
 
 
 def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
@@ -39,14 +35,9 @@ def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
     Returns ``mate`` with ``mate[v]`` the partner of ``v`` or ``-1`` when
     ``v`` is exposed.  The declared bipartition witness provides the two
     sides; left = side 0.
-
-    Routed through :mod:`repro.fastpath` (integer/numpy kernels,
-    differentially tested byte-identical) unless ``REPRO_FASTPATH=0``,
-    in which case the rational-era reference below runs.
     """
-    if fastpath.enabled():
-        return fastpath.hopcroft_karp_fast(graph)
     n = graph.n
+    unreached = n + 1  # larger than any real BFS level
     left = graph.vertices_on_side(0)
     adj: list[list[int]] = [[] for _ in range(n)]
     mate = [-1] * n
@@ -59,7 +50,7 @@ def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
                 mate[u] = v
                 mate[v] = u
                 break
-    dist: list[float] = [_INF] * n
+    dist = [unreached] * n
 
     # per-root DFS state, reused across the whole call (cleared on use)
     path_u: list[int] = []
@@ -73,7 +64,7 @@ def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
                 dist[u] = 0
                 q.append(u)
             else:
-                dist[u] = _INF
+                dist[u] = unreached
         found = False
         while q:
             u = q.popleft()
@@ -82,7 +73,7 @@ def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
                 w = mate[v]
                 if w == -1:
                     found = True
-                elif dist[w] == _INF:
+                elif dist[w] == unreached:
                     dist[w] = du1
                     q.append(w)
         if not found:
@@ -119,7 +110,7 @@ def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
                         break
                 else:
                     # exhausted: u is off any augmenting path this phase
-                    dist[u] = _INF
+                    dist[u] = unreached
                     path_u.pop()
                     iters.pop()
                     if path_v:

@@ -12,10 +12,10 @@ allows" goal needs:
   artifact schema every benchmark emits
   (:class:`BenchRecord`, :func:`validate_bench_record`), plus the
   append-only ``BENCH_trajectory.jsonl`` perf trajectory;
-* :mod:`repro.perf.baselines` — preserved pre-optimization hot paths,
-  so equivalence tests and before/after rows stay reproducible;
 * :mod:`repro.perf.scenarios` — the ``repro perf`` sweeps measuring the
-  optimized hot paths against those baselines.
+  optimized hot paths against what they replace (the numpy tiers
+  against the integer references, the parallel oracle against the
+  sequential one, a persistent pool against a pool per run).
 
 See ``docs/PERFORMANCE.md`` for the methodology and the measured
 before/after tables.

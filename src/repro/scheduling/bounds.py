@@ -7,11 +7,11 @@ Because jobs have integer sizes, a machine finishing within ``T`` can carry
 at most ``floor(s_i * T)`` units of work, so every such ``T`` threshold is
 a genuine lower bound on ``C*max``.
 
-All computations are exact over rationals; :func:`min_cover_time` uses the
-observation (cf. Lemma 10) that the count function ``T -> sum_i
-floor(s_i T)`` only jumps at times of the form ``c / s_i``, and that the
-answer lives in the window ``[D / S, (D + m) / S]`` (``S = sum s_i``) which
-contains only ``O(m)`` candidate jump points.
+All computations are exact; :func:`min_cover_time` uses the observation
+(cf. Lemma 10) that the count function ``T -> sum_i floor(s_i T)`` only
+jumps at times of the form ``c / s_i``, and that the answer lives in the
+window ``[D / S, (D + m) / S]`` (``S = sum s_i``) which contains only
+``O(m)`` candidate jump points.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Sequence
 
 from repro import fastpath
 from repro.exceptions import InvalidInstanceError
+from repro.fastpath import FastpathUnavailable, kernels_numpy, scaled_speeds
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
-from repro.utils.rationals import ceil_fraction, floor_fraction
 
 __all__ = [
     "min_cover_time",
@@ -34,49 +34,14 @@ __all__ = [
 ]
 
 
-def _capacity_at(speeds: Sequence[Fraction], t: Fraction) -> int:
-    """``sum_i floor(s_i * t)`` — total integer capacity by time ``t``."""
-    return sum(floor_fraction(s * t) for s in speeds)
-
-
 def min_cover_time(speeds: Sequence[Fraction], demand: int) -> Fraction:
     """Least ``T >= 0`` with ``sum_i floor(s_i * T) >= demand`` (exact).
 
     Raises :exc:`InvalidInstanceError` when no machines are given but
-    demand is positive.
-
-    Routed through :mod:`repro.fastpath` (scaled-integer/numpy jump-point
-    search, differentially tested to return the canonically identical
-    Fraction) unless ``REPRO_FASTPATH=0``, in which case the rational
-    reference below runs.
+    demand is positive.  This is :func:`min_cover_time_with_loads` on
+    empty machines, which searches the same jump points.
     """
-    if fastpath.enabled():
-        return fastpath.min_cover_time_fast(speeds, demand)
-    if demand <= 0:
-        return Fraction(0)
-    if not speeds:
-        raise InvalidInstanceError("positive demand but no machines")
-    total_speed = sum(speeds)
-    lo = Fraction(demand) / total_speed          # capacity(lo) <= demand
-    hi = Fraction(demand + len(speeds)) / total_speed  # capacity(hi) >= demand
-    candidates: set[Fraction] = {hi}
-    for s in speeds:
-        c_lo = max(1, ceil_fraction(s * lo))
-        c_hi = floor_fraction(s * hi)
-        for c in range(c_lo, c_hi + 1):
-            candidates.add(Fraction(c) / s)
-    feasible = sorted(t for t in candidates if lo <= t <= hi)
-    # binary search the monotone predicate capacity(t) >= demand
-    left, right = 0, len(feasible) - 1
-    answer = feasible[right]
-    while left <= right:
-        mid = (left + right) // 2
-        if _capacity_at(speeds, feasible[mid]) >= demand:
-            answer = feasible[mid]
-            right = mid - 1
-        else:
-            left = mid + 1
-    return answer
+    return min_cover_time_with_loads(speeds, [0] * len(speeds), demand)
 
 
 def min_cover_time_with_loads(
@@ -98,43 +63,65 @@ def min_cover_time_with_loads(
     With ``demand <= 0`` this is just the current completion frontier
     ``max_i loads[i] / s_i``.
 
-    Routed through :mod:`repro.fastpath` unless ``REPRO_FASTPATH=0``
-    (see :func:`min_cover_time`).
+    Runs on the speeds scaled to integers (``s_i = S_i / scale``, see
+    :func:`repro.fastpath.scaled_speeds`): capacities jump only at
+    times ``c * scale / S_i``, and at time ``num / den`` machine ``k``
+    holds ``(S_k * num) // (den * scale)`` units.  With at least
+    :data:`repro.fastpath.COVER_NUMPY_MIN_MACHINES` machines the
+    jump-point search is vectorized
+    (:func:`repro.fastpath.kernels_numpy.min_cover_time_with_loads_numpy`)
+    whenever the operands fit ``int64``; both searches return the same
+    least jump point.
     """
-    if fastpath.enabled():
-        return fastpath.min_cover_time_with_loads_fast(speeds, loads, demand)
-    if len(speeds) != len(loads):
+    scaled, scale = scaled_speeds(tuple(speeds))
+    if len(scaled) >= fastpath.COVER_NUMPY_MIN_MACHINES:
+        try:
+            return kernels_numpy.min_cover_time_with_loads_numpy(
+                scaled, scale, loads, demand
+            )
+        except FastpathUnavailable:
+            pass
+    if len(scaled) != len(loads):
         raise InvalidInstanceError(
-            f"{len(loads)} loads for {len(speeds)} machines"
+            f"{len(loads)} loads for {len(scaled)} machines"
         )
-    if not speeds:
+    if not scaled:
         if demand > 0:
             raise InvalidInstanceError("positive demand but no machines")
         return Fraction(0)
-    frontier = max(Fraction(load) / s for load, s in zip(loads, speeds))
+    # frontier = max_i loads[i] * scale / S_i by integer cross-multiplication
+    f_num, f_den = 0, 1
+    for load, s in zip(loads, scaled):
+        if load * f_den > f_num * s:
+            f_num, f_den = load, s
+    frontier = Fraction(f_num * scale, f_den)
     if demand <= 0:
         return frontier
-    total_speed = sum(speeds)
+    m = len(scaled)
+    total = sum(scaled)
     total_units = sum(loads) + demand
-    lo = max(frontier, Fraction(total_units) / total_speed)
+    lo = max(frontier, Fraction(total_units * scale, total))
     # at hi = (U + m) / S every machine wastes < 1 unit to rounding, so
     # the residual capacities cover the demand; the frontier keeps the
     # max() condition satisfied
-    hi = max(frontier, Fraction(total_units + len(speeds)) / total_speed)
+    hi = max(frontier, Fraction((total_units + m) * scale, total))
     candidates: set[Fraction] = {hi}
-    for s in speeds:
-        c_lo = max(1, ceil_fraction(s * lo))
-        c_hi = floor_fraction(s * hi)
+    for s in scaled:
+        c_lo = max(1, -((-s * lo.numerator) // (lo.denominator * scale)))
+        c_hi = (s * hi.numerator) // (hi.denominator * scale)
         for c in range(c_lo, c_hi + 1):
-            candidates.add(Fraction(c) / s)
+            candidates.add(Fraction(c * scale, s))
     feasible = sorted(t for t in candidates if lo <= t <= hi)
 
     def _covers(t: Fraction) -> bool:
+        d = t.denominator * scale
         residual = 0
-        for s, load in zip(speeds, loads):
-            residual += max(0, floor_fraction(s * t) - load)
-            if residual >= demand:
-                return True
+        for s, load in zip(scaled, loads):
+            extra = (s * t.numerator) // d - load
+            if extra > 0:
+                residual += extra
+                if residual >= demand:
+                    return True
         return False
 
     left, right = 0, len(feasible) - 1

@@ -23,12 +23,10 @@ All arithmetic is integer after an exact rescaling of the rational inputs.
 
 The forward pass builds one layer per job.  Small layers go through the
 reference dict step (:func:`_layer_python`); once a layer holds
-``repro.fastpath.R2_DP_NUMPY_MIN_STATES`` states, auto fast-path mode
-builds the next one with
-:func:`repro.fastpath.kernels_numpy.r2_dp_layer_numpy`, which
+``repro.fastpath.R2_DP_NUMPY_MIN_STATES`` states, the next one is built
+by :func:`repro.fastpath.kernels_numpy.r2_dp_layer_numpy`, which
 reproduces the dict's tie-breaks exactly, whenever its packed sort key
-fits ``int64``.  ``REPRO_FASTPATH=0`` or ``int`` keeps every layer on the
-dict step.
+fits ``int64``.
 """
 
 from __future__ import annotations
@@ -119,16 +117,13 @@ def solve_r2_dp(
     # forward DP ---------------------------------------------------------
     # a layer is its states' loads in layer order; emitted_by_job[j][s]
     # is the emission index 2 * parent position + machine of state s
-    numpy_step = (
-        fastpath.fastpath_mode() == "auto" and kernels_numpy.numpy_available()
-    )
     l1: Any = [0]
     l2: Any = [0]
     emitted_by_job: list[Any] = []
     for j in range(n):
         a, b = t_int[0][j], t_int[1][j]
         step = None
-        if numpy_step and len(l1) >= fastpath.R2_DP_NUMPY_MIN_STATES:
+        if len(l1) >= fastpath.R2_DP_NUMPY_MIN_STATES:
             try:
                 step = kernels_numpy.r2_dp_layer_numpy(l1, l2, a, b, delta, prune)
             except FastpathUnavailable:

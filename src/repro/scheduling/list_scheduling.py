@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 from repro import fastpath
 from repro.exceptions import InvalidInstanceError
+from repro.fastpath import FastpathUnavailable, int_view, kernels_numpy
 from repro.scheduling.instance import SchedulingInstance, UniformInstance
 from repro.scheduling.schedule import Schedule
 
@@ -44,64 +45,84 @@ def assign_group_greedy(
 ) -> dict[int, int]:
     """Greedy list scheduling of ``jobs`` onto the machine subset ``machines``.
 
-    Jobs are processed in LPT order; each goes to the machine whose
-    completion time after receiving it is smallest (ties: faster/lower
-    machine index).  Returns a ``job -> machine`` mapping.  The caller is
-    responsible for ``jobs`` being an independent set — this routine
-    never inspects the graph, mirroring the paper's usage.
+    Jobs are processed in LPT order (ties by job id); each goes to the
+    machine whose completion time after receiving it is smallest, ties
+    to the earliest position in ``machines``.  Returns a ``job ->
+    machine`` mapping whose insertion order is the placement order.  The
+    caller is responsible for ``jobs`` being an independent set — this
+    routine never inspects the graph, mirroring the paper's usage.
 
-    The single-job step is the speed-grouped structure from PR 4:
-    machines grouped by speed with one load-min-heap per distinct speed
-    (for a fixed speed the best candidate is always the least-loaded,
-    earliest-listed machine), the surviving ``g``-way comparison of
-    ``(load + p_j) / s`` values done by integer cross-multiplication.
-    *Runs* of equal-``p_j`` jobs — which LPT order makes contiguous —
-    are placed through an **event calendar** instead: a heap over the
-    machines keyed by the exact ``(completion, rank)`` pair, where a
-    machine's successive completions during the run form the arithmetic
-    progression ``(load + k * p) / s``.  Popping the calendar ``r``
-    times visits exactly the ``r`` lexicographically smallest
-    ``(completion, rank)`` pairs, which is provably the same sequence
-    the one-job-at-a-time greedy produces (a non-top machine of any
-    speed group is dominated by its group top in this order, so the
-    global calendar minimum always coincides with the per-group-top
-    scan's choice).  Selection is exact either way, so the ``job ->
-    machine`` mapping is identical to the pre-optimization reference:
-    the machine minimising completion time, ties to the earliest
-    position in ``machines``.
-
-    Routed through :mod:`repro.fastpath` (scaled-integer/numpy kernels
-    over the :class:`~repro.fastpath.normalize.IntView`, differentially
-    tested byte-identical) unless ``REPRO_FASTPATH=0``, in which case
-    the Fraction-keyed implementation below runs.
+    Runs on the :class:`~repro.fastpath.normalize.IntView` of the
+    instance: speeds scaled to integers, so every completion-time
+    comparison is integer cross-multiplication.  Batches of at least
+    :data:`repro.fastpath.GREEDY_NUMPY_MIN_JOBS` jobs go to
+    :func:`repro.fastpath.kernels_numpy.assign_group_greedy_numpy` when
+    the operands fit ``int64``; smaller batches, and operands past
+    ``int64``, run :func:`_greedy_int`.  Both produce the same mapping,
+    in the same order.
     """
-    if fastpath.enabled():
-        return fastpath.assign_group_greedy_fast(instance, jobs, machines)
+    view = int_view(instance)
+    if len(jobs) >= fastpath.GREEDY_NUMPY_MIN_JOBS:
+        try:
+            return kernels_numpy.assign_group_greedy_numpy(
+                view.p, view.speeds_scaled, jobs, machines
+            )
+        except FastpathUnavailable:
+            pass
+    return _greedy_int(view.p, view.speeds_scaled, jobs, machines)
+
+
+def _greedy_int(
+    p: Sequence[int],
+    speeds_scaled: Sequence[int],
+    jobs: Sequence[int],
+    machines: Sequence[int],
+) -> dict[int, int]:
+    """The integer reference of :func:`assign_group_greedy`.
+
+    The common ``scale`` of the speeds cancels out of every
+    completion-time comparison, so it is not even a parameter.  Machines
+    are grouped by (integer) speed with one load-min-heap per group: for
+    a fixed speed the best candidate is always the least-loaded,
+    earliest-listed machine, and the surviving ``g``-way comparison of
+    ``(load + p_j) / S`` values is integer cross-multiplication.
+
+    *Runs* of equal-``p_j`` jobs — which LPT order makes contiguous —
+    bypass the per-job group scan and place through a machine-level
+    **event calendar**: with ``L = lcm(distinct scaled speeds)`` the key
+    ``(load + k * p_j) * (L / S_i)`` orders exactly like the rational
+    completion time ``(load + k * p_j) / s_i``, each machine's keys
+    during a run form an arithmetic progression with constant step
+    ``p_j * L / S_i``, and popping the ``(key, rank)``-min heap ``r``
+    times reproduces the one-job-at-a-time choices (a non-top machine of
+    any speed group is dominated by its group top in this order, so the
+    calendar minimum always coincides with the per-group-top scan's
+    choice).  Group heaps are rebuilt from the load array only when a
+    singleton run follows a batched one.
+    """
     if not machines and jobs:
         raise InvalidInstanceError("cannot schedule jobs on an empty machine group")
     count = len(machines)
-    speed_of = [Fraction(instance.speeds[i]) for i in machines]
-    loads = [0] * count  # integer load by position in `machines`
-    # speed -> heap of (integer load, position in `machines`, machine id);
-    # equal loads within a group tie-break to the earlier position.
-    group_ranks: dict[Fraction, list[int]] = {}
+    speed_by_rank = [speeds_scaled[i] for i in machines]
+    loads = [0] * count  # by position ("rank") in `machines`
+    # speed -> ranks; each group's heap holds (load, rank, machine id)
+    group_ranks: dict[int, list[int]] = {}
     for rank, i in enumerate(machines):
-        group_ranks.setdefault(speed_of[rank], []).append(rank)
+        group_ranks.setdefault(speed_by_rank[rank], []).append(rank)
 
-    def build_groups() -> list[tuple[int, int, list[tuple[int, int, int]]]]:
-        rebuilt: list[tuple[int, int, list[tuple[int, int, int]]]] = []
+    def build_groups() -> list[tuple[int, list[tuple[int, int, int]]]]:
+        rebuilt: list[tuple[int, list[tuple[int, int, int]]]] = []
         for speed, ranks in group_ranks.items():
             heap = [(loads[r], r, machines[r]) for r in ranks]
             heapq.heapify(heap)
-            rebuilt.append((speed.numerator, speed.denominator, heap))
+            rebuilt.append((speed, heap))
         return rebuilt
 
     groups = build_groups()
     groups_stale = False
-    weights: list[int] | None = None
+    mult: list[int] | None = None  # L / S_i per rank, built on first batch
     result: dict[int, int] = {}
-    p = instance.p
-    order = lpt_order(instance, jobs)
+    order = sorted(jobs, key=lambda j: (-p[j], j))
     idx = 0
     while idx < len(order):
         p_j = p[order[idx]]
@@ -111,25 +132,15 @@ def assign_group_greedy(
         run = order[idx:end]
         idx = end
         if len(run) > 1:
-            # event calendar over machines keyed by the exact integer
-            # (load + k * p_j) * den * (C / num) with C the lcm of the
-            # speed numerators — the same cross-multiplication the
-            # single-job scan below uses, hoisted to a common multiplier
-            # so the keys are totally ordered and advance by a constant
-            # integer step per machine
-            if weights is None:
-                common = math.lcm(*{s.numerator for s in speed_of})
-                weights = [
-                    s.denominator * (common // s.numerator) for s in speed_of
-                ]
-            steps = [p_j * w for w in weights]
-            calendar = [
-                ((loads[r] + p_j) * weights[r], r) for r in range(count)
-            ]
+            if mult is None:
+                common = math.lcm(*group_ranks)
+                mult = [common // s for s in speed_by_rank]
+            incs = [p_j * m_r for m_r in mult]
+            calendar = [((loads[r] + p_j) * mult[r], r) for r in range(count)]
             heapq.heapify(calendar)
             for j in run:
                 key, r = calendar[0]
-                heapq.heapreplace(calendar, (key + steps[r], r))
+                heapq.heapreplace(calendar, (key + incs[r], r))
                 result[j] = machines[r]
                 loads[r] += p_j
             groups_stale = True
@@ -138,26 +149,24 @@ def assign_group_greedy(
             groups = build_groups()
             groups_stale = False
         (j,) = run
-        # candidate completion of a group = (load + p_j) * den / num;
-        # track the running best as the exact pair (best_a / best_b)
+        # completion of a group = (load + p_j) / S; compare the running
+        # best a/S_best against a'/S' by integer cross-multiplication
         best_heap: list[tuple[int, int, int]] | None = None
-        best_a = best_b = 0
+        best_a = best_s = 0
         best_rank = -1
-        for num, den, heap in groups:
+        for s, heap in groups:
             load, rank, _ = heap[0]
-            a = (load + p_j) * den
+            a = load + p_j
             if best_heap is None:
                 better = True
             else:
-                lhs = a * best_b
-                rhs = best_a * num
+                lhs = a * best_s
+                rhs = best_a * s
                 better = lhs < rhs or (lhs == rhs and rank < best_rank)
             if better:
-                best_a, best_b, best_rank, best_heap = a, num, rank, heap
+                best_a, best_s, best_rank, best_heap = a, s, rank, heap
         if best_heap is None:
-            raise InvalidInstanceError(
-                "cannot list-schedule onto zero machine groups"
-            )
+            raise InvalidInstanceError("cannot list-schedule onto zero machine groups")
         load, rank, i = heapq.heappop(best_heap)
         heapq.heappush(best_heap, (load + p_j, rank, i))
         loads[rank] = load + p_j

@@ -169,6 +169,16 @@ def _round_vertex(
     return Schedule(instance, assignment, check=False)
 
 
+def _lp_float(value: Fraction, what: str) -> float:
+    """``float(value)`` for the LP, refusing values outside float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInstanceError(
+            f"a {what} is outside float range; the LP cannot represent it"
+        ) from None
+
+
 def lst_two_approx(
     instance: UnrelatedInstance,
     tolerance: float = 1e-4,
@@ -177,13 +187,15 @@ def lst_two_approx(
     """The [18] 2-approximation for ``R||Cmax`` (graph-blind).
 
     Binary-searches the smallest LP-feasible deadline to relative
-    ``tolerance``, then rounds the final LP vertex.  Raises
-    :exc:`InvalidInstanceError` on empty instances with no machines.
+    ``tolerance``, then rounds the final LP vertex.  The LP runs in
+    floating point, so :exc:`InvalidInstanceError` is raised when a
+    processing time or the greedy makespan is outside float range.
     """
     if instance.n == 0:
         return LpRoundingResult(Schedule(instance, []), 0.0, 0)
     times = [
-        [None if t is None else float(t) for t in row] for row in instance.times
+        [None if t is None else _lp_float(t, "processing time") for t in row]
+        for row in instance.times
     ]
     n, m = instance.n, instance.m
     # bounds: max-min job time below, greedy schedule above
@@ -193,7 +205,7 @@ def lst_two_approx(
     ]
     lo = max(max(mins), sum(mins) / m)
     greedy = greedy_min_time_schedule(instance)
-    hi = float(greedy.makespan)
+    hi = _lp_float(greedy.makespan, "greedy makespan")
     if hi == 0:  # all jobs take zero time everywhere they are allowed
         return LpRoundingResult(greedy, 0.0, 0)
     lo = min(lo, hi)

@@ -1,18 +1,14 @@
 """Differential-testing harness configuration.
 
-Two Hypothesis profiles are registered here:
+One Hypothesis profile is registered here: ``differential``, a
+moderate example budget so the equivalence gate travels with every
+tier-1 run without dominating suite runtime; the frozen corpus under
+``tests/fixtures/differential/`` carries the breadth.
 
-* ``differential`` — the default for local / tier-1 runs: a moderate
-  example budget so the equivalence gate travels with every PR without
-  dominating suite runtime.
-* ``ci`` — the reduced budget used by the CI ``differential-smoke``
-  step (``pytest tests/differential --hypothesis-profile=ci``), which
-  leans on the frozen corpus under ``tests/fixtures/differential/`` for
-  breadth and on Hypothesis only for fresh randomization.
-
-Profiles deliberately carry ``deadline=None``: the reference tier runs
-pure-``Fraction`` arithmetic and is legitimately slow on the occasional
-large draw; wall-clock variance must not fail an equivalence proof.
+The profile deliberately carries ``deadline=None``: the definitional
+oracles run pure-``Fraction`` arithmetic and are legitimately slow on
+the occasional large draw; wall-clock variance must not fail an
+equivalence proof.
 
 The profile is applied per-test (autouse fixture) rather than globally
 in ``pytest_configure`` so that a full-suite run keeps Hypothesis's
@@ -27,12 +23,6 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "differential",
     max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.register_profile(
-    "ci",
-    max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -4,40 +4,105 @@ The strategies span the v3 instance vocabulary: every conflict-graph
 kind (bipartite / complete multipartite / block), every machine kind
 (identical / integer-speed / rational-speed uniform), unit and mixed
 job sizes, and optional per-job eligibility masks.  Each differential
-test draws from these and runs the rational reference, the integer
-kernel, and the numpy kernel on the *same* instance, asserting
-byte-identical results.
+test draws from these and runs every kernel tier on the *same*
+instance — the integer reference, the numpy tier, and the shipped
+cutoffs that mix them — asserting byte-identical results, and where a
+loop has one, against an independent definitional oracle below.
 """
 
 from __future__ import annotations
 
-import os
+import math
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
+import pytest
 from hypothesis import strategies as st
 
+from repro import fastpath
+from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
 from repro.scheduling.instance import UniformInstance
 
+#: the numpy cutoffs in :mod:`repro.fastpath` that choose a tier per call
+CUTOFFS = (
+    "GREEDY_NUMPY_MIN_JOBS",
+    "COVER_NUMPY_MIN_MACHINES",
+    "R2_DP_NUMPY_MIN_STATES",
+)
+
+#: cutoff value per tier: ``sys.maxsize`` keeps every loop on its
+#: integer reference, 1 sends every loop to numpy wherever its operands
+#: fit ``int64``, and ``None`` keeps the shipped cutoffs
+TIERS = {"reference": sys.maxsize, "numpy": 1, "shipped": None}
+
 
 @contextmanager
-def fastpath_mode(value: str | None) -> Iterator[None]:
-    """Temporarily pin ``REPRO_FASTPATH`` (``None`` = unset = auto)."""
-    old = os.environ.get("REPRO_FASTPATH")
-    if value is None:
-        os.environ.pop("REPRO_FASTPATH", None)
-    else:
-        os.environ["REPRO_FASTPATH"] = value
-    try:
+def kernel_tier(tier: str) -> Iterator[None]:
+    """Force ``tier`` (a key of :data:`TIERS`) by patching every cutoff."""
+    value = TIERS[tier]
+    with pytest.MonkeyPatch.context() as mp:
+        if value is not None:
+            for name in CUTOFFS:
+                mp.setattr(fastpath, name, value)
         yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FASTPATH", None)
-        else:
-            os.environ["REPRO_FASTPATH"] = old
+
+
+def greedy_oracle(
+    instance: UniformInstance, jobs: Sequence[int], machines: Sequence[int]
+) -> dict[int, int]:
+    """Greedy list scheduling by definition, in O(n·m) exact Fractions.
+
+    Jobs in LPT order with ties by job id; each goes to the machine with
+    the least completion time ``(load + p_j) / s_i``, ties to the
+    earliest position in ``machines``.  The mapping's insertion order is
+    the placement order.
+    """
+    if not machines and jobs:
+        raise InvalidInstanceError("cannot schedule jobs on an empty machine group")
+    loads = {i: 0 for i in machines}
+    result: dict[int, int] = {}
+    for j in sorted(jobs, key=lambda j: (-instance.p[j], j)):
+        best = min(
+            machines,
+            key=lambda i: Fraction(loads[i] + instance.p[j]) / instance.speeds[i],
+        )
+        loads[best] += instance.p[j]
+        result[j] = best
+    return result
+
+
+def cover_oracle(
+    speeds: Sequence[Fraction], loads: Sequence[int], demand: int
+) -> Fraction:
+    """``min_cover_time_with_loads`` by definition: scan every jump point.
+
+    The least ``T >= max_i loads[i] / s_i`` with ``sum_i max(0,
+    floor(s_i * T) - loads[i]) >= demand`` is the frontier itself or a
+    time ``c / s_i`` where machine ``i``'s capacity jumps to
+    ``c <= loads[i] + demand``; this tries all of them.
+    """
+    frontier = max(
+        (Fraction(load) / s for load, s in zip(loads, speeds)), default=Fraction(0)
+    )
+    if demand <= 0:
+        return frontier
+
+    def covers(t: Fraction) -> bool:
+        residual = sum(
+            max(0, math.floor(s * t) - load) for s, load in zip(speeds, loads)
+        )
+        return residual >= demand
+
+    candidates = [frontier] + [
+        Fraction(c) / s
+        for s, load in zip(speeds, loads)
+        for c in range(1, load + demand + 1)
+    ]
+    return min(t for t in candidates if t >= frontier and covers(t))
 
 
 @st.composite

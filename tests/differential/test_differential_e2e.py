@@ -1,11 +1,15 @@
 """End-to-end differential: solver and oracle behave identically with
-the fast path on, off, and int-only.
+the integer references only, with numpy wherever it fits, and at the
+shipped cutoffs.
 
 The hot-loop tests prove kernel equivalence in isolation; these prove
 the *composition* — ranked dispatch, the paper algorithms, and the
-branch-and-bound oracle all sit on top of the dispatched hot loops, so
-any divergence the unit-level tests missed (wiring, caching, mode
-handling) surfaces here as a schedule or node-count mismatch.
+branch-and-bound oracle all sit on top of the hot loops, so any
+divergence the unit-level tests missed (wiring, caching, cutoff
+handling) surfaces here as a schedule or node-count mismatch.  At
+hypothesis sizes the shipped cutoffs keep every loop on its integer
+reference; the ``numpy`` tier is what runs the numpy greedy, cover and
+DP kernels inside ``solve`` and ``certified_optimal``.
 """
 
 from __future__ import annotations
@@ -13,89 +17,60 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from diffutil import fastpath_mode, uniform_instances
+from diffutil import TIERS, kernel_tier, uniform_instances
 from repro.certify.oracle import certified_optimal
 from repro.engine import solve
 from repro.exceptions import ReproError
+from repro.fastpath import FastpathUnavailable, kernels_numpy
 
 
 @given(inst=uniform_instances(max_n=10, max_m=4, with_eligibility=True))
-def test_solve_identical_across_modes(inst):
+def test_solve_identical_across_tiers(inst):
     outcomes = {}
-    for mode in ("0", "int", None):
-        with fastpath_mode(mode):
+    for tier in TIERS:
+        with kernel_tier(tier):
             try:
                 schedule = solve(inst)
             except ReproError as exc:
-                outcomes[mode] = ("raise", type(exc).__name__)
+                outcomes[tier] = ("raise", type(exc).__name__)
             else:
-                outcomes[mode] = (
+                outcomes[tier] = (
                     list(schedule.assignment),
                     schedule.makespan,
                     schedule.is_feasible(),
                 )
-    assert outcomes["0"] == outcomes["int"] == outcomes[None]
+    assert outcomes["reference"] == outcomes["numpy"] == outcomes["shipped"]
 
 
 @settings(max_examples=15)
 @given(inst=uniform_instances(max_n=7, max_m=3))
-def test_oracle_identical_across_modes(inst):
+def test_oracle_identical_across_tiers(inst):
     """The exact oracle: same makespan, same schedule, same node count —
-    the bound it prunes with is a dispatched hot loop, so a kernel that
+    the bound it prunes with is a tiered hot loop, so a kernel that
     returned a different (even if also-correct) bound would change the
     search tree and show up in ``nodes``."""
     outcomes = {}
-    for mode in ("0", "int", None):
-        with fastpath_mode(mode):
+    for tier in TIERS:
+        with kernel_tier(tier):
             try:
                 result = certified_optimal(inst)
             except ReproError as exc:
-                outcomes[mode] = ("raise", type(exc).__name__)
+                outcomes[tier] = ("raise", type(exc).__name__)
             else:
-                outcomes[mode] = (
+                outcomes[tier] = (
                     result.makespan,
                     list(result.schedule.assignment),
                     result.nodes,
                     result.proof,
                     result.seeded_from,
                 )
-    assert outcomes["0"] == outcomes["int"] == outcomes[None]
+    assert outcomes["reference"] == outcomes["numpy"] == outcomes["shipped"]
 
 
-def test_mode_parsing():
-    from repro import fastpath
-
-    cases = {
-        "0": "off",
-        "off": "off",
-        "FALSE": "off",
-        " no ": "off",
-        "int": "int",
-        "1": "auto",
-        "auto": "auto",
-        "": "auto",
-    }
-    for raw, want in cases.items():
-        with fastpath_mode(raw):
-            assert fastpath.fastpath_mode() == want, raw
-    with fastpath_mode(None):
-        assert fastpath.fastpath_mode() == "auto"
-        assert fastpath.enabled()
-    with fastpath_mode("0"):
-        assert not fastpath.enabled()
-
-
-def test_rs005_style_import_guard():
-    """kernels_numpy must be importable and report cleanly even if numpy
-    were missing; with numpy present the guard is exercised via the
-    FastpathUnavailable overflow paths instead."""
-    from repro.fastpath import kernels_numpy
-
-    assert isinstance(kernels_numpy.numpy_available(), bool)
-    if kernels_numpy.numpy_available():
-        with pytest.raises(kernels_numpy.FastpathUnavailable):
-            kernels_numpy.capacity_at_numpy([2**63], 1, 1)
-        with pytest.raises(kernels_numpy.FastpathUnavailable):
-            kernels_numpy.assign_group_greedy_numpy(
-                [2**63], [1], [0], [0]
-            )
+def test_numpy_tier_declines_int64_overflow():
+    """Operands past int64 make the numpy kernels decline with a typed
+    error (the public functions then run the integer reference)."""
+    with pytest.raises(FastpathUnavailable):
+        kernels_numpy.assign_group_greedy_numpy([2**63], [1], [0], [0])
+    with pytest.raises(FastpathUnavailable):
+        kernels_numpy.min_cover_time_with_loads_numpy([2**63], 1, [0], 1)

@@ -8,8 +8,9 @@ smaller ``l2`` wins a bucket, buckets keep the order of their first
 candidate, and the final pick is the first minimal ``max(l1, l2)`` in
 that order.  The tests lower the cutoff to 1 so every layer takes the
 numpy step, and require the whole :class:`DPResult` — makespan and
-assignment, down to the Python types — to equal the
-``REPRO_FASTPATH=0`` result.
+assignment, down to the Python types — to equal the reference-tier
+result, where the cutoff is ``sys.maxsize`` and every layer takes the
+dict step.
 """
 
 from __future__ import annotations
@@ -21,16 +22,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from diffutil import fastpath_mode
+from diffutil import kernel_tier
 from repro import fastpath
 from repro.exceptions import InfeasibleInstanceError
 from repro.fastpath import FastpathUnavailable, kernels_numpy
 from repro.scheduling import dp_unrelated
 from repro.scheduling.dp_unrelated import DPResult, solve_r2_dp
-
-pytestmark = pytest.mark.skipif(
-    not kernels_numpy.numpy_available(), reason="numpy not importable"
-)
 
 #: an entry no int64 holds: a job pinned to it pushes the prune bound
 #: past 2**63, so every layer must fall back to the dict step
@@ -67,15 +64,13 @@ eps_values = st.one_of(
 
 
 def _reference(rows, eps) -> DPResult:
-    with fastpath_mode("0"):
+    with kernel_tier("reference"):
         return solve_r2_dp(rows, eps=eps)
 
 
 def _numpy_every_layer(rows, eps) -> DPResult:
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastpath, "R2_DP_NUMPY_MIN_STATES", 1)
-        with fastpath_mode(None):
-            return solve_r2_dp(rows, eps=eps)
+    with kernel_tier("numpy"):
+        return solve_r2_dp(rows, eps=eps)
 
 
 def _assert_identical(fast: DPResult, ref: DPResult) -> None:
@@ -136,23 +131,19 @@ def test_large_layers_match_reference(seed, eps):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels_numpy, "r2_dp_layer_numpy", counting_step)
-        with fastpath_mode(None):
-            fast = solve_r2_dp(rows, eps=eps)
+        fast = solve_r2_dp(rows, eps=eps)
     assert calls and min(calls) >= fastpath.R2_DP_NUMPY_MIN_STATES
     _assert_identical(fast, _reference(rows, eps))
 
 
-@pytest.mark.parametrize("mode", ["0", "int"])
-def test_reference_modes_never_enter_the_numpy_step(mode):
+def test_layers_below_the_cutoff_never_enter_the_numpy_step():
     def refuse(*args):
-        raise AssertionError("numpy step ran with REPRO_FASTPATH pinned")
+        raise AssertionError("numpy step ran below R2_DP_NUMPY_MIN_STATES")
 
     rows = [[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fastpath, "R2_DP_NUMPY_MIN_STATES", 1)
         mp.setattr(kernels_numpy, "r2_dp_layer_numpy", refuse)
-        with fastpath_mode(mode):
-            result = solve_r2_dp(rows)
+        result = solve_r2_dp(rows)
     assert result == _reference(rows, None)
 
 
@@ -190,12 +181,11 @@ def test_empty_layer_raises_the_same_error_in_both_steps(monkeypatch):
     monkeypatch.setattr(
         kernels_numpy, "r2_dp_layer_numpy", shrunk(kernels_numpy.r2_dp_layer_numpy)
     )
-    monkeypatch.setattr(fastpath, "R2_DP_NUMPY_MIN_STATES", 1)
     rows = [[5] * 8, [5] * 8]
     messages = {}
-    for mode in ("0", None):
-        with fastpath_mode(mode), pytest.raises(InfeasibleInstanceError) as info:
+    for tier in ("reference", "numpy"):
+        with kernel_tier(tier), pytest.raises(InfeasibleInstanceError) as info:
             solve_r2_dp(rows)
-        messages[mode] = str(info.value)
-    assert messages["0"] == messages[None]
-    assert "emptied at job" in messages["0"]
+        messages[tier] = str(info.value)
+    assert messages["reference"] == messages["numpy"]
+    assert "emptied at job" in messages["reference"]

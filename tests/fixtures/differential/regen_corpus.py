@@ -2,15 +2,14 @@
 
 Run from the repo root::
 
-    REPRO_FASTPATH=0 PYTHONPATH=src python tests/fixtures/differential/regen_corpus.py
+    PYTHONPATH=src python tests/fixtures/differential/regen_corpus.py
 
 Deterministic: a fixed seed drives every draw, so reruns reproduce the
-same ~50 instances byte-for-byte.  Expected makespans are computed with
-``REPRO_FASTPATH=0`` (the rational reference tier) through the engine's
-ranked dispatch — the corpus therefore freezes both the *instances* and
-the *reference behaviour*, and ``test_differential_corpus.py`` replays
-every fast-path tier against it without any Hypothesis shrinking in the
-loop.
+same ~70 instances byte-for-byte.  Expected makespans are computed
+through the engine's ranked dispatch at the shipped numpy cutoffs — the
+corpus therefore freezes both the *instances* and the *behaviour*, and
+``test_differential_corpus.py`` replays every kernel tier against it
+without any Hypothesis shrinking in the loop.
 
 The mix spans the v3 vocabulary: bipartite / complete-multipartite /
 block conflict graphs (general structure is realised by >= 3-part
@@ -23,14 +22,12 @@ instances.
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[3] / "src"))
-os.environ["REPRO_FASTPATH"] = "0"  # freeze against the reference tier
 
 from repro.engine import solve  # noqa: E402
 from repro.graphs.bipartite import BipartiteGraph  # noqa: E402
@@ -187,7 +184,7 @@ def build_r2dp_candidates(rng: random.Random):
 
     Sparse ``G(k, k, 0.8/k)`` with 150-300 jobs, uniform (``q2_fptas``)
     and unrelated (``r2_fptas``): their DP layers hold hundreds of
-    states, so auto fast-path mode builds them with the numpy step.
+    states, so the shipped cutoff builds them with the numpy step.
     """
     shapes = [
         ("q-integer", 75, "integer"),

@@ -20,7 +20,7 @@ from repro.scheduling.instance import (
     unit_uniform_instance,
 )
 
-from tests.conftest import random_r2, random_uniform_instance
+from tests.conftest import random_bipartite, random_r2, random_uniform_instance
 
 F = Fraction
 
@@ -101,6 +101,60 @@ class TestProofMetadata:
         inst = UniformInstance(path_graph(3), [2, 1, 2], [1, 1])
         result = certified_optimal(inst)
         assert result.optimal == result.makespan
+
+
+#: (makespan, nodes, proof) of the seeded searches below, recorded from
+#: the memoized search; any change to branch order, pruning or the
+#: per-node bound shows up here as a different node count
+PINNED_Q = [
+    ("13/4", 9, "search-exhausted"), ("5", 11, "search-exhausted"),
+    ("3", 0, "bound-tight"), ("3", 11, "search-exhausted"),
+    ("4", 44, "search-exhausted"), ("5", 22, "search-exhausted"),
+    ("17/4", 19, "search-exhausted"), ("4", 32, "search-exhausted"),
+    ("4", 15, "search-exhausted"), ("7/4", 0, "bound-tight"),
+    ("17/4", 17, "search-exhausted"), ("7/2", 9, "search-exhausted"),
+    ("2", 0, "bound-tight"), ("13/4", 0, "bound-tight"),
+    ("7/2", 10, "search-exhausted"), ("2", 6, "search-exhausted"),
+    ("4", 11, "search-exhausted"), ("4", 18, "search-exhausted"),
+    ("19/4", 14, "search-exhausted"), ("3", 2, "search-exhausted"),
+]
+PINNED_R = [
+    ("13", 11, "search-exhausted"), ("4", 0, "bound-tight"),
+    ("8", 20, "search-exhausted"), ("11", 12, "search-exhausted"),
+    ("9", 9, "search-exhausted"), ("12", 12, "search-exhausted"),
+    ("6", 5, "search-exhausted"), ("11", 10, "search-exhausted"),
+    ("3", 0, "bound-tight"), ("7", 6, "search-exhausted"),
+    ("8", 12, "search-exhausted"), ("15", 26, "search-exhausted"),
+]
+
+
+class TestPinnedSearch:
+    """The search tree is pinned, not just the optimum."""
+
+    @staticmethod
+    def _outcome(inst):
+        result = certified_optimal(inst)
+        return (str(result.makespan), result.nodes, result.proof)
+
+    def test_uniform_searches_match_recorded_values(self, rng):
+        from repro.machines.profiles import geometric_speeds
+
+        got = []
+        for _ in range(len(PINNED_Q)):
+            g = random_bipartite(rng, max_side=5)
+            p = [int(x) for x in rng.integers(1, 8, g.n)]
+            got.append(self._outcome(UniformInstance(g, p, geometric_speeds(3, 2))))
+        assert got == PINNED_Q
+        assert sum(nodes for _, nodes, _ in got) == 250
+
+    def test_unrelated_searches_match_recorded_values(self, rng):
+        got = []
+        for _ in range(len(PINNED_R)):
+            g = random_bipartite(rng, max_side=4)
+            times = [[int(x) for x in rng.integers(1, 15, g.n)] for _ in range(3)]
+            got.append(self._outcome(UnrelatedInstance(g, times)))
+        assert got == PINNED_R
+        assert sum(nodes for _, nodes, _ in got) == 123
 
 
 class TestScaleTarget:

@@ -13,16 +13,16 @@ class TestPerfScenarios:
     def test_single_target_end_to_end(self, tmp_path, capsys):
         code = main(
             [
-                "perf", "--target", "list_scheduling", "--smoke",
+                "perf", "--target", "fastpath", "--smoke",
                 "--repeat", "1", "--warmup", "0",
                 "--out-dir", str(tmp_path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "PERF_list_scheduling" in out
+        assert "PERF_fastpath" in out
         assert "speedup" in out
-        artifact = tmp_path / "BENCH_PERF_list_scheduling.json"
+        artifact = tmp_path / "BENCH_PERF_fastpath.json"
         data = load_json(artifact)
         validate_bench_record(data)
         record = BenchRecord.from_dict(data)
@@ -46,16 +46,13 @@ class TestPerfScenarios:
         assert names == [
             "BENCH_PERF_batch_fanout.json",
             "BENCH_PERF_fastpath.json",
-            "BENCH_PERF_hopcroft_karp.json",
-            "BENCH_PERF_list_scheduling.json",
-            "BENCH_PERF_oracle.json",
             "BENCH_PERF_oracle_parallel.json",
         ]
 
     def test_profile_flag_prints_hotspots(self, tmp_path, capsys):
         code = main(
             [
-                "perf", "--target", "hopcroft_karp", "--smoke",
+                "perf", "--target", "fastpath", "--smoke",
                 "--repeat", "1", "--warmup", "0", "--profile",
                 "--out-dir", str(tmp_path),
             ]

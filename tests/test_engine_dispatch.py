@@ -1,17 +1,14 @@
 """Tests for :mod:`repro.engine.dispatch` — ranked auto selection,
 behaviour-identity with the pre-engine policy, and explain mode."""
 
-import warnings
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-with warnings.catch_warnings():
-    # this module deliberately exercises the deprecated shim
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro import solvers
+from repro import fastpath
 from repro.engine import (
     ALGORITHMS,
     auto_choice,
@@ -99,9 +96,9 @@ def _corpus():
     )
 
 
-#: recorded from the pre-engine ``repro.solvers.auto_choice`` (the
-#: 464-line monolith) immediately before the PR-5 refactor — the engine
-#: must reproduce these answers exactly
+#: recorded from the pre-engine ``auto_choice`` (a 464-line monolith)
+#: immediately before the engine refactor — the engine must reproduce
+#: these answers exactly
 FROZEN_CHOICES = {
     "Kab_unit_q3": "complete_multipartite",
     "Kab_unit_q1": "complete_multipartite",
@@ -182,13 +179,25 @@ class TestFrozenCorpus:
         assert _choice_or_sentinel(instance) == FROZEN_CHOICES[name]
 
     @pytest.mark.parametrize("name,instance", list(_corpus()))
-    def test_shim_gives_identical_answers(self, name, instance):
-        """The repro.solvers back-compat shim is behaviour-identical."""
-        try:
-            shim = solvers.auto_choice(instance)
-        except InfeasibleInstanceError:
-            shim = INFEASIBLE
-        assert shim == FROZEN_CHOICES[name]
+    def test_kernel_tiers_give_identical_answers(self, name, instance, monkeypatch):
+        """``solve`` answers the same with every hot loop on its integer
+        reference (numpy cutoffs at ``sys.maxsize``) and with every loop
+        on numpy wherever its operands fit (cutoffs at 1)."""
+        answers = []
+        for cutoff in (sys.maxsize, 1):
+            for knob in (
+                "GREEDY_NUMPY_MIN_JOBS",
+                "COVER_NUMPY_MIN_MACHINES",
+                "R2_DP_NUMPY_MIN_STATES",
+            ):
+                monkeypatch.setattr(fastpath, knob, cutoff)
+            try:
+                schedule = solve(instance)
+            except InfeasibleInstanceError:
+                answers.append(INFEASIBLE)
+            else:
+                answers.append((list(schedule.assignment), schedule.makespan))
+        assert answers[0] == answers[1]
 
     def test_applicability_sets_frozen(self):
         instances = dict(_corpus())
@@ -261,8 +270,6 @@ class TestDispatchProperties:
         spec = ALGORITHMS[name]
         assert spec.applies(instance)
         assert spec.auto_rank is not None
-        # and the shim agrees on every drawn instance
-        assert solvers.auto_choice(instance) == name
 
     @settings(max_examples=20, deadline=None)
     @given(instance=_instances())

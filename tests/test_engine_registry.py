@@ -214,7 +214,7 @@ class TestRegistry:
 
     def test_plugin_lifecycle(self):
         """A registered plugin is dispatchable, listable, and solvable
-        through every public route (including the repro.solvers shim)."""
+        through every public route."""
 
         def run_toy(instance):
             return Schedule(instance, [j % instance.m for j in range(instance.n)])
@@ -228,13 +228,7 @@ class TestRegistry:
         )
         register_algorithm(spec)
         try:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                from repro.solvers import ALGORITHMS as shim_algorithms
-
-            assert "toy_round_robin" in shim_algorithms
+            assert "toy_round_robin" in ALGORITHMS
             inst = unit_uniform_instance(
                 generators.empty_graph(4), [F(1), F(1)]
             )

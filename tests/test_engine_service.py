@@ -146,6 +146,60 @@ class TestSolveRequests:
         assert why["r2_two_approx"] == why["r2_fptas"]
 
 
+def _k11(kind, **numbers):
+    graph = {
+        "format": "repro/v1",
+        "kind": "graph",
+        "n": 2,
+        "side": [0, 1],
+        "edges": [[0, 1]],
+    }
+    return {"format": "repro/v1", "kind": kind, "graph": graph, **numbers}
+
+
+class TestOutOfRangeNumbers:
+    """Exact inputs far outside float range: bounded work, typed replies."""
+
+    def _handle(self, payload, **extra):
+        line = json.dumps({"op": "solve", "id": 1, "instance": payload, **extra})
+        return json.loads(EngineService().handle_line(line))
+
+    def test_huge_speed_ratio_is_answered_promptly(self):
+        """complete_multipartite's jump points c / s stop at the job
+        count; up to floor(s * hi) they would number ~1e400 here."""
+        response = self._handle(
+            _k11("uniform_instance", p=[1, 1], speeds=["1e400", "1"])
+        )
+        assert response["ok"] is True, response.get("error")
+        assert response["chosen"] == "complete_multipartite"
+        assert response["makespan"] == "1/1"
+
+    def test_makespan_outside_float_range_has_a_null_float(self):
+        times = [["1e400", "1e400"], ["1e400", "1e400"]]
+        response = self._handle(_k11("unrelated_instance", times=times))
+        assert response["ok"] is True, response.get("error")
+        assert Fraction(response["makespan"]) == 10**400
+        assert response["makespan_float"] is None
+
+    def test_lst_outside_float_range_is_a_typed_error(self):
+        times = [["1e400", "1e400"], ["1e400", "1e400"]]
+        response = self._handle(
+            _k11("unrelated_instance", times=times), algorithm="lst"
+        )
+        assert response["ok"] is False
+        assert response["error"] == (
+            "a processing time is outside float range; "
+            "the LP cannot represent it"
+        )
+
+    def test_makespan_float_kept_inside_float_range(self):
+        response = self._handle(
+            _k11("unrelated_instance", times=[["3", "1"], ["2", "5"]])
+        )
+        assert response["ok"] is True
+        assert response["makespan_float"] == float(Fraction(response["makespan"]))
+
+
 class TestErrors:
     def test_malformed_line(self):
         service = EngineService()

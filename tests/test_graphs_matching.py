@@ -96,3 +96,19 @@ def test_deep_path_no_recursion_blowup():
     n = 4000
     g = path_graph(n)
     assert maximum_matching_size(g) == n // 2
+
+
+def test_hopcroft_karp_deterministic_per_graph():
+    from repro.random_graphs.gilbert import gnnp
+
+    g = gnnp(40, 0.1, seed=12)
+    assert hopcroft_karp(g) == hopcroft_karp(g)
+
+
+def test_hopcroft_karp_deep_path_needs_no_recursion_limit():
+    # a single long path forces the longest possible augmenting chains;
+    # a recursive DFS would need a recursion-limit raise here
+    g = path_graph(4001)
+    mate = hopcroft_karp(g)
+    assert is_matching(g, mate)
+    assert sum(1 for v in mate if v != -1) // 2 == 2000

@@ -298,3 +298,63 @@ class TestSummarize:
         assert summarize_batch([r.to_dict() for r in results]) == summarize_batch(
             results
         )
+
+
+def _fanout_tasks(runs: int, per_run: int):
+    from repro.machines.profiles import power_law_speeds
+    from repro.random_graphs.gilbert import gnnp
+
+    return [
+        [
+            (
+                f"run{s}-task{i}",
+                unit_uniform_instance(
+                    gnnp(5, 0.2, seed=10 * s + i), power_law_speeds(3)
+                ),
+            )
+            for i in range(per_run)
+        ]
+        for s in range(runs)
+    ]
+
+
+class TestPersistentPool:
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_results_invariant_under_pool_mode(self, persistent):
+        reference = [
+            [(r.name, r.makespan, r.chosen) for r in BatchRunner().run_to_list(ts)]
+            for ts in _fanout_tasks(3, 3)
+        ]
+        with BatchRunner(workers=2, persistent_pool=persistent) as runner:
+            streams = [
+                [(r.name, r.makespan, r.chosen) for r in runner.run_to_list(ts)]
+                for ts in _fanout_tasks(3, 3)
+            ]
+        assert streams == reference
+
+    def test_reuses_one_pool_across_runs(self):
+        with BatchRunner(workers=2) as runner:
+            assert runner._pool is None  # lazy: no pool before the first run
+            runner.run_to_list(_fanout_tasks(1, 2)[0])
+            pool = runner._pool
+            assert pool is not None
+            runner.run_to_list(_fanout_tasks(2, 2)[1])
+            assert runner._pool is pool
+        assert runner._pool is None  # context exit tears it down
+
+    def test_close_is_idempotent_and_runner_stays_usable(self):
+        runner = BatchRunner(workers=2)
+        tasks = _fanout_tasks(1, 2)[0]
+        first = [r.makespan for r in runner.run_to_list(tasks)]
+        runner.close()
+        runner.close()  # no-op
+        # the next run forks a fresh pool transparently
+        runner.cache = type(runner.cache)()  # fresh cache: force real solves
+        assert [r.makespan for r in runner.run_to_list(tasks)] == first
+        runner.close()
+
+    def test_in_process_mode_has_no_pool(self):
+        runner = BatchRunner(workers=1)
+        runner.run_to_list(_fanout_tasks(1, 2)[0])
+        assert runner._pool is None
+        runner.close()  # accepted no-op

@@ -1,7 +1,5 @@
-"""Tests for :mod:`repro.solvers` — registry and auto dispatch."""
+"""Tests for the algorithm registry and auto dispatch of :mod:`repro.engine`."""
 
-import sys
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,22 +17,6 @@ from repro.scheduling.instance import (
 from repro.engine import ALGORITHMS, available_algorithms, solve
 
 F = Fraction
-
-
-class TestDeprecatedShim:
-    def test_import_emits_deprecation_warning(self):
-        sys.modules.pop("repro.solvers", None)
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            import repro.solvers  # noqa: F401
-
-    def test_shim_names_are_the_engine_names(self):
-        sys.modules.pop("repro.solvers", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.solvers as shim
-        assert shim.solve is solve
-        assert shim.ALGORITHMS is ALGORITHMS
-        assert shim._auto_choice is shim.auto_choice
 
 
 class TestRegistry:
