@@ -44,7 +44,6 @@ __all__ = [
     "violation_table",
     "certification_summary",
     "portfolio_gain_rows",
-    "portfolio_gain_table",
 ]
 
 WeightKind = Literal["unit", "uniform", "heavy_tailed", "one_giant"]
@@ -328,7 +327,7 @@ def violation_table(rows: Iterable[Any], title: str | None = None) -> str:
 
 
 def portfolio_gain_rows(
-    suite: Iterable[tuple[str, Any]], k: int = 3, runner: Any | None = None
+    suite: Iterable[tuple[str, Any]], k: int = 3
 ) -> list[list[Any]]:
     """Single-algorithm ``auto`` vs k-way portfolio, per named instance.
 
@@ -350,7 +349,7 @@ def portfolio_gain_rows(
         start = perf_counter()
         auto_schedule = solve(instance, algorithm=chosen)
         auto_ms = (perf_counter() - start) * 1e3
-        result = portfolio_solve(instance, k=k, runner=runner)
+        result = portfolio_solve(instance, k=k)
         gain = float(auto_schedule.makespan / result.makespan)
         rows.append(
             [
@@ -365,23 +364,6 @@ def portfolio_gain_rows(
             ]
         )
     return rows
-
-
-def portfolio_gain_table(
-    suite: Iterable[tuple[str, Any]],
-    k: int = 3,
-    runner: Any | None = None,
-    title: str | None = None,
-) -> str:
-    """Render :func:`portfolio_gain_rows` as an aligned monospace table."""
-    from repro.analysis.tables import format_table
-
-    return format_table(
-        ["instance", "auto choice", "auto Cmax", "auto ms",
-         "portfolio winner", "portfolio Cmax", "portfolio ms", "gain"],
-        portfolio_gain_rows(suite, k=k, runner=runner),
-        title=title,
-    )
 
 
 def random_r2_instance(

@@ -25,8 +25,9 @@ Commands
     non-zero on any violation.
 ``serve``
     Persistent serving loop (:mod:`repro.engine.service`): JSONL
-    requests on stdin (or a TCP socket with ``--port``), canonical
-    content-hash keys, repeats answered from a sharded result cache.
+    requests on stdin (or the asyncio TCP tier of
+    :mod:`repro.engine.aserve` with ``--port``), canonical content-hash
+    keys, repeats answered from a sharded result cache.
 ``perf``
     Measure the optimized hot paths (the numpy tiers against the integer
     references, the parallel oracle, BatchRunner fan-out) against what
@@ -193,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--portfolio", type=int, default=None, metavar="K",
         help="race up to K eligible algorithms and keep the best schedule",
     )
-    slv.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for --portfolio (1 = sequential)",
-    )
     slv.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
     slv.add_argument(
         "--polish",
@@ -282,17 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--port", type=int, default=None,
         help="serve on this TCP port instead of stdin/stdout (0 = "
-        "ephemeral); TCP serving is concurrent (asyncio) unless --sync",
+        "ephemeral); TCP serving is concurrent (asyncio)",
     )
     srv.add_argument("--host", type=str, default="127.0.0.1")
     srv.add_argument(
         "--max-requests", type=int, default=None,
         help="exit after this many requests (one-shot smoke tests)",
-    )
-    srv.add_argument(
-        "--sync", action="store_true",
-        help="TCP fallback: serve connections sequentially, one at a "
-        "time, on the classic blocking loop (no coalescing/backpressure)",
     )
     srv.add_argument(
         "--workers", type=int, default=1,
@@ -481,8 +473,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    import contextlib
-
     instance = load_instance(args.instance)
     if args.explain:
         report = explain_dispatch(instance, algorithm=args.algorithm)
@@ -506,11 +496,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        with contextlib.ExitStack() as stack:
-            runner = None
-            if args.workers > 1:
-                runner = stack.enter_context(BatchRunner(workers=args.workers))
-            result = portfolio_solve(instance, k=args.portfolio, runner=runner)
+        result = portfolio_solve(instance, k=args.portfolio)
         print(result.table())
         schedule, chosen = result.schedule, result.chosen
     else:
@@ -599,14 +585,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.engine import EngineService, serve_tcp
+    from repro.engine import EngineService
 
     def announce(address) -> None:
         host, port = address
         print(f"serving on {host}:{port}", file=sys.stderr)
 
-    if args.port is not None and not args.sync:
-        # the default TCP path: the concurrent asyncio tier
+    if args.port is not None:
         import asyncio
 
         from repro.engine import AsyncEngineService, serve_async
@@ -634,16 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             served = service.stats.requests
         finally:
             service.close()
-    elif args.port is not None:
-        service = EngineService(cache=args.cache_dir, algorithm=args.algorithm)
-        served = serve_tcp(
-            service,
-            host=args.host,
-            port=args.port,
-            max_requests=args.max_requests,
-            ready=announce,
-            backlog=args.backlog,
-        )
     else:
         service = EngineService(cache=args.cache_dir, algorithm=args.algorithm)
         source = sys.stdin

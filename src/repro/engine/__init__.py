@@ -9,14 +9,12 @@ Five cooperating layers:
 * :mod:`repro.engine.dispatch` — capability matching with ranked
   ``auto`` selection and explain mode
   (:func:`explain_dispatch`, surfaced as ``repro solve --explain``);
-* :mod:`repro.engine.portfolio` — race k eligible algorithms (optionally
-  on a :class:`~repro.runtime.batch.BatchRunner` worker pool) and keep
-  the best certified makespan, with early cutoff at the exact lower
-  bound;
+* :mod:`repro.engine.portfolio` — race k eligible algorithms in turn
+  and keep the best certified makespan, with early cutoff at the exact
+  lower bound;
 * :mod:`repro.engine.service` — the persistent serving loop behind
-  ``repro serve``: JSONL requests over stdin/socket, canonical
-  content-hash keys, repeat queries answered from a lazily-loaded
-  sharded cache;
+  ``repro serve``: JSONL requests over stdin, canonical content-hash
+  keys, repeat queries answered from a lazily-loaded sharded cache;
 * :mod:`repro.engine.aserve` — the concurrent asyncio TCP tier (the
   default for ``repro serve --port``): many connections on one event
   loop, solves on a worker pool, in-flight coalescing by content hash,
@@ -55,7 +53,6 @@ from repro.engine.service import (
     ServiceStats,
     build_solve_record,
     parse_solve_request,
-    serve_tcp,
 )
 from repro.engine.aserve import (
     SERVE_FORMAT_V2,
@@ -91,6 +88,5 @@ __all__ = [
     "ServiceStats",
     "build_solve_record",
     "parse_solve_request",
-    "serve_tcp",
     "serve_async",
 ]

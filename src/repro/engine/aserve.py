@@ -1,9 +1,8 @@
-"""The concurrent asyncio serving tier behind ``repro serve`` (TCP default).
+"""The asyncio TCP serving tier behind ``repro serve --port``.
 
-:mod:`repro.engine.service` keeps the protocol, the stdin stream mode,
-and the sequential ``--sync`` TCP fallback; this module multiplexes many
-TCP connections on one event loop and never blocks that loop on a
-solver:
+:mod:`repro.engine.service` keeps the protocol and the stdin stream
+mode; this module multiplexes many TCP connections on one event loop and
+never blocks that loop on a solver:
 
 * **dispatch** — solves run off-loop: on an in-process thread pool by
   default (``workers=1``), or on
@@ -32,7 +31,7 @@ solver:
 Responses carry ``format: "repro/serve/v2"``, a superset of v1 adding
 ``coalesced`` (and a ``server`` gauge block on ``stats``).  Cache
 records stay v1-shaped, so a ``--cache-dir`` directory can be shared
-freely between the sync and async tiers and across restarts.
+freely between the stdin and TCP tiers and across restarts.
 """
 
 from __future__ import annotations

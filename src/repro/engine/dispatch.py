@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.registry import REGISTRY, AlgorithmRegistry, AlgorithmSpec
+from repro.engine.registry import REGISTRY, AlgorithmSpec
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.scheduling.instance import (
     SchedulingInstance,
@@ -49,7 +49,6 @@ __all__ = [
 
 def available_algorithms(
     instance: SchedulingInstance | None = None,
-    registry: AlgorithmRegistry | None = None,
 ) -> list[AlgorithmSpec]:
     """All registered algorithms, optionally filtered by applicability.
 
@@ -58,16 +57,13 @@ def available_algorithms(
     instance:
         When given, only specs whose preconditions hold for this
         instance are returned (``spec.applies(instance)``).
-    registry:
-        Registry to read (default: the global engine registry).
 
     Returns
     -------
     list of AlgorithmSpec
         Registry entries in registration order.
     """
-    registry = REGISTRY if registry is None else registry
-    specs = registry.specs()
+    specs = REGISTRY.specs()
     if instance is None:
         return specs
     return [s for s in specs if s.applies(instance)]
@@ -80,10 +76,7 @@ def _auto_eligible(spec: AlgorithmSpec, instance: SchedulingInstance) -> bool:
     return spec.auto_when is None or spec.auto_when.check(instance)
 
 
-def auto_choice(
-    instance: SchedulingInstance,
-    registry: AlgorithmRegistry | None = None,
-) -> str:
+def auto_choice(instance: SchedulingInstance) -> str:
     """The algorithm name ``solve(instance, "auto")`` would run.
 
     Ranked capability matching: among registered specs that apply to the
@@ -98,8 +91,6 @@ def auto_choice(
     instance:
         The instance the dispatch policy inspects (machine environment,
         unit jobs, graph structure).
-    registry:
-        Registry to dispatch over (default: the global engine registry).
 
     Returns
     -------
@@ -114,13 +105,12 @@ def auto_choice(
     repro.exceptions.InvalidInstanceError
         If the instance type is not registered.
     """
-    registry = REGISTRY if registry is None else registry
     if not isinstance(instance, (UniformInstance, UnrelatedInstance)):
         raise InvalidInstanceError(
             f"unknown instance type {type(instance).__name__}"
         )
     best: AlgorithmSpec | None = None
-    for spec in registry.values():
+    for spec in REGISTRY.values():
         if _auto_eligible(spec, instance) and (
             best is None or spec.auto_rank < best.auto_rank
         ):
@@ -215,9 +205,7 @@ class DispatchReport:
 
 
 def explain_dispatch(
-    instance: SchedulingInstance,
-    algorithm: str = "auto",
-    registry: AlgorithmRegistry | None = None,
+    instance: SchedulingInstance, algorithm: str = "auto"
 ) -> DispatchReport:
     """Why each registered algorithm was (not) selected for ``instance``.
 
@@ -227,23 +215,22 @@ def explain_dispatch(
     failures — they land in :attr:`DispatchReport.error` so explain mode
     can describe infeasible instances too.
     """
-    registry = REGISTRY if registry is None else registry
     chosen: str | None = None
     error: str | None = None
     if algorithm == "auto":
         try:
-            chosen = auto_choice(instance, registry)
+            chosen = auto_choice(instance)
         except (InfeasibleInstanceError, InvalidInstanceError) as exc:
             error = str(exc)
-    elif algorithm in registry:
-        chosen = algorithm if registry[algorithm].applies(instance) else None
+    elif algorithm in REGISTRY:
+        chosen = algorithm if REGISTRY[algorithm].applies(instance) else None
         if chosen is None:
             error = f"algorithm {algorithm!r} does not apply to this instance"
     else:
         error = f"unknown algorithm {algorithm!r}"
 
     entries: list[DispatchEntry] = []
-    for spec in registry.values():
+    for spec in REGISTRY.values():
         applicable, reasons = spec.matches(instance)
         is_chosen = spec.name == chosen
         if is_chosen:
@@ -266,7 +253,7 @@ def explain_dispatch(
         elif chosen is not None:
             why = (
                 f"applies, but rank {spec.auto_rank} loses to "
-                f"{chosen!r} (rank {registry[chosen].auto_rank})"
+                f"{chosen!r} (rank {REGISTRY[chosen].auto_rank})"
             )
         else:
             why = "applies, but dispatch failed before selection"
@@ -286,11 +273,7 @@ def explain_dispatch(
     )
 
 
-def solve(
-    instance: SchedulingInstance,
-    algorithm: str = "auto",
-    registry: AlgorithmRegistry | None = None,
-) -> Schedule:
+def solve(instance: SchedulingInstance, algorithm: str = "auto") -> Schedule:
     """Schedule ``instance`` with the requested (or auto-chosen) method.
 
     Parameters
@@ -301,8 +284,6 @@ def solve(
     algorithm:
         ``"auto"`` (default) applies the ranked dispatch policy in the
         module docstring; any other value must be a registered name.
-    registry:
-        Registry to dispatch over (default: the global engine registry).
 
     Returns
     -------
@@ -329,11 +310,10 @@ def solve(
     >>> schedule.is_feasible()
     True
     """
-    registry = REGISTRY if registry is None else registry
-    name = auto_choice(instance, registry) if algorithm == "auto" else algorithm
-    spec = registry.get(name)
+    name = auto_choice(instance) if algorithm == "auto" else algorithm
+    spec = REGISTRY.get(name)
     if spec is None:
-        known = ", ".join(sorted(registry))
+        known = ", ".join(sorted(REGISTRY))
         raise InvalidInstanceError(f"unknown algorithm {name!r}; known: {known}")
     if not spec.applies(instance):
         raise InvalidInstanceError(

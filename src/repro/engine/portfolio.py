@@ -3,10 +3,9 @@
 ``auto`` dispatch picks the single method the policy ranks strongest,
 but on concrete instances a lower-ranked method (or a heuristic with no
 worst-case guarantee) often lands a better makespan.  The portfolio runs
-up to ``k`` eligible algorithms — sequentially in-process, or
-concurrently on a :class:`~repro.runtime.batch.BatchRunner`'s worker
-pool — and returns the best *feasible* schedule, with an early cutoff
-the moment some result matches the instance's exact lower bound
+up to ``k`` eligible algorithms one after another in-process and
+returns the best *feasible* schedule, with an early cutoff the moment
+some result matches the instance's exact lower bound
 (:mod:`repro.scheduling.bounds` via
 :func:`repro.certify.validators.instance_lower_bound`): a schedule at
 the lower bound is provably optimal, so the rest of the race is moot.
@@ -20,19 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 from repro.certify.validators import instance_lower_bound
 from repro.engine.dispatch import auto_choice
-from repro.engine.registry import REGISTRY, AlgorithmRegistry
+from repro.engine.registry import REGISTRY
 from repro.exceptions import InvalidInstanceError, ReproError
 from repro.scheduling.instance import SchedulingInstance
 from repro.scheduling.schedule import Schedule
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard
-    import multiprocessing.pool
-
-    from repro.runtime.batch import BatchRunner
 
 __all__ = [
     "PortfolioEntry",
@@ -103,11 +96,7 @@ class PortfolioResult:
         )
 
 
-def portfolio_candidates(
-    instance: SchedulingInstance,
-    k: int = 3,
-    registry: AlgorithmRegistry | None = None,
-) -> list[str]:
+def portfolio_candidates(instance: SchedulingInstance, k: int = 3) -> list[str]:
     """Up to ``k`` algorithm names worth racing on ``instance``.
 
     The ``auto`` choice always leads (so the portfolio can never lose to
@@ -122,13 +111,12 @@ def portfolio_candidates(
     """
     if k < 1:
         raise InvalidInstanceError(f"portfolio size must be >= 1, got {k}")
-    registry = REGISTRY if registry is None else registry
-    first = auto_choice(instance, registry)
+    first = auto_choice(instance)
     names = [first]
     edged = instance.graph.edge_count > 0
     eligible = [
         spec
-        for spec in registry.values()
+        for spec in REGISTRY.values()
         if spec.name != first
         and not spec.exponential
         and not (spec.graph_blind and edged)
@@ -146,18 +134,15 @@ def portfolio_candidates(
     return names[:k]
 
 
-def _better(candidate: Fraction, incumbent: Fraction | None) -> bool:
-    return incumbent is None or candidate < incumbent
-
-
 def portfolio_solve(
     instance: SchedulingInstance,
     k: int = 3,
-    runner: "BatchRunner | None" = None,
-    registry: AlgorithmRegistry | None = None,
     early_cutoff: bool = True,
 ) -> PortfolioResult:
     """Race up to ``k`` eligible algorithms and keep the best schedule.
+
+    Candidates run one after another in-process; makespan ties keep the
+    earlier candidate.
 
     Parameters
     ----------
@@ -166,19 +151,6 @@ def portfolio_solve(
     k:
         Maximum number of algorithms raced
         (:func:`portfolio_candidates`).
-    runner:
-        A :class:`~repro.runtime.batch.BatchRunner`.  With
-        ``runner.workers > 1`` the race fans out over the runner's
-        persistent worker pool and entries finish in completion order;
-        otherwise (or with ``runner=None``) candidates run sequentially
-        in-process.  The best makespan is identical either way (every
-        registered solver is deterministic, and makespan ties break
-        towards the earlier candidate); only under ``early_cutoff`` may
-        the two modes report different — equally optimal — winners,
-        because the pool race stops at whichever candidate *first*
-        proves the lower bound.
-    registry:
-        Registry to race over (default: the global engine registry).
     early_cutoff:
         Stop the race as soon as some feasible makespan reaches the
         instance's exact lower bound (the schedule is then provably
@@ -198,45 +170,9 @@ def portfolio_solve(
         schedule (cannot happen with the built-in registry: the auto
         choice is always feasible there).
     """
-    registry = REGISTRY if registry is None else registry
-    candidates = portfolio_candidates(instance, k, registry)
+    candidates = portfolio_candidates(instance, k)
     lower = instance_lower_bound(instance)
     start = perf_counter()
-
-    pool = runner.worker_pool() if runner is not None else None
-    if pool is None:
-        entries, best_name, best_schedule, cutoff = _race_sequential(
-            instance, candidates, registry, lower, early_cutoff
-        )
-    else:
-        entries, best_name, best_schedule, cutoff = _race_pool(
-            instance, candidates, pool, lower, early_cutoff
-        )
-
-    wall = perf_counter() - start
-    if best_name is None or best_schedule is None:
-        detail = "; ".join(
-            f"{e.algorithm}: {e.error or 'infeasible'}" for e in entries
-        )
-        raise ReproError(f"portfolio found no feasible schedule ({detail})")
-    return PortfolioResult(
-        chosen=best_name,
-        makespan=best_schedule.makespan,
-        schedule=best_schedule,
-        lower_bound=lower,
-        cutoff=cutoff,
-        entries=tuple(entries),
-        wall_time_s=wall,
-    )
-
-
-def _race_sequential(
-    instance: SchedulingInstance,
-    candidates: list[str],
-    registry: AlgorithmRegistry,
-    lower: Fraction | None,
-    early_cutoff: bool,
-) -> tuple[list[PortfolioEntry], str | None, Schedule | None, bool]:
     entries: list[PortfolioEntry] = []
     best_name: str | None = None
     best_schedule: Schedule | None = None
@@ -247,10 +183,9 @@ def _race_sequential(
                 PortfolioEntry(name, None, 0.0, False, skipped=True)
             )
             continue
-        spec = registry[name]
         t0 = perf_counter()
         try:
-            schedule = spec.execute(instance)
+            schedule = REGISTRY[name].execute(instance)
         except ReproError as exc:
             entries.append(
                 PortfolioEntry(
@@ -278,125 +213,25 @@ def _race_sequential(
                 name, schedule.makespan if feasible else None, elapsed, feasible
             )
         )
-        if feasible and _better(
-            schedule.makespan,
-            best_schedule.makespan if best_schedule is not None else None,
+        if feasible and (
+            best_schedule is None or schedule.makespan < best_schedule.makespan
         ):
             best_name, best_schedule = name, schedule
             if early_cutoff and lower is not None and schedule.makespan <= lower:
                 cutoff = position + 1 < len(candidates)
-    return entries, best_name, best_schedule, cutoff
 
-
-def _race_task(
-    task: tuple[str, dict],
-) -> tuple[str, Fraction | None, list[int] | None, bool, str | None, float]:
-    """Worker entry point: run one candidate, ship the assignment back.
-
-    Module-level (picklable).  Unlike the batch worker's scalar records,
-    the race returns the winning *assignment*, so the driver can rebuild
-    the schedule without re-running the solver.  Returns ``(name,
-    makespan, assignment, feasible, error, wall_time_s)``.
-    """
-    from repro.engine.registry import REGISTRY
-    from repro.io import instance_from_dict
-
-    name, payload = task
-    spec = REGISTRY.get(name)
-    if spec is None:
-        # a runtime-registered plugin is absent from this worker's fresh
-        # registry import (spawn start method): report, don't crash
-        return (
-            name,
-            None,
-            None,
-            False,
-            "algorithm not registered in the worker process (runtime "
-            "plugins must be registered at import time to race on a "
-            "pool)",
-            0.0,
+    wall = perf_counter() - start
+    if best_name is None or best_schedule is None:
+        detail = "; ".join(
+            f"{e.algorithm}: {e.error or 'infeasible'}" for e in entries
         )
-    instance = instance_from_dict(payload)
-    start = perf_counter()
-    try:
-        schedule = spec.execute(instance)
-    except ReproError as exc:
-        return name, None, None, False, str(exc), perf_counter() - start
-    except Exception as exc:  # noqa: BLE001 — mirror the sequential
-        # race: one crashing candidate must not kill the pool iteration
-        return (
-            name,
-            None,
-            None,
-            False,
-            f"{type(exc).__name__}: {exc}",
-            perf_counter() - start,
-        )
-    elapsed = perf_counter() - start
-    feasible = schedule.is_feasible()
-    return (
-        name,
-        schedule.makespan if feasible else None,
-        list(schedule.assignment),
-        feasible,
-        None,
-        elapsed,
+        raise ReproError(f"portfolio found no feasible schedule ({detail})")
+    return PortfolioResult(
+        chosen=best_name,
+        makespan=best_schedule.makespan,
+        schedule=best_schedule,
+        lower_bound=lower,
+        cutoff=cutoff,
+        entries=tuple(entries),
+        wall_time_s=wall,
     )
-
-
-def _race_pool(
-    instance: SchedulingInstance,
-    candidates: list[str],
-    pool: multiprocessing.pool.Pool,
-    lower: Fraction | None,
-    early_cutoff: bool,
-) -> tuple[list[PortfolioEntry], str | None, Schedule | None, bool]:
-    from repro.io import instance_to_dict
-
-    payload = instance_to_dict(instance)
-    tasks = [(name, payload) for name in candidates]
-    rank = {name: i for i, name in enumerate(candidates)}
-    by_name: dict[str, PortfolioEntry] = {}
-    assignments: dict[str, list[int]] = {}
-    best_name: str | None = None
-    best_makespan: Fraction | None = None
-    cutoff = False
-    results = pool.imap_unordered(_race_task, tasks, 1)
-    for name, makespan, assignment, feasible, error, elapsed in results:
-        by_name[name] = PortfolioEntry(
-            algorithm=name,
-            makespan=makespan,
-            wall_time_s=elapsed,
-            feasible=feasible,
-            error=error,
-        )
-        if feasible and makespan is not None:
-            assignments[name] = assignment
-            # ties break towards the earlier candidate, matching the
-            # sequential race (the completion order of imap_unordered
-            # must not leak into the reported winner)
-            if (
-                best_makespan is None
-                or makespan < best_makespan
-                or (makespan == best_makespan and rank[name] < rank[best_name])
-            ):
-                best_name, best_makespan = name, makespan
-            if early_cutoff and lower is not None and makespan <= lower:
-                # any candidate at the lower bound is provably optimal;
-                # under the cutoff the reported winner is the first to
-                # prove it (racing semantics — results still received
-                # before the break keep the candidate-order tie-break)
-                cutoff = len(by_name) < len(candidates)
-                break
-    entries = [
-        by_name.get(
-            name, PortfolioEntry(name, None, 0.0, False, skipped=True)
-        )
-        for name in candidates
-    ]
-    best_schedule = (
-        Schedule(instance, assignments[best_name])
-        if best_name is not None
-        else None
-    )
-    return entries, best_name, best_schedule, cutoff

@@ -20,8 +20,8 @@ Note for multiprocessing users: worker processes re-import this module,
 so plugins registered at runtime in the parent are visible to
 :class:`~repro.runtime.batch.BatchRunner` workers only if registration
 happens at import time of some module the worker also imports.  The
-in-process serving layer (:mod:`repro.engine.service`) has no such
-restriction.
+in-process paths (``solve``, the portfolio, ``repro serve`` with one
+worker) have no such restriction.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from repro.core.sqrt_approx import sqrt_approx_schedule
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.structure import (
-    analyze_structure,
     as_bipartite_graph,
+    complete_bipartite_parts_with_free,
     is_bipartite_structure,
     is_block_structure,
     multipartite_decomposition,
@@ -193,6 +193,66 @@ class Capability:
                 out.append(f"m <= {self.max_machines}")
         return tuple(out)
 
+    def _unmet(self, instance: SchedulingInstance) -> Iterator[str]:
+        """One reason per failed requirement, in explain-report order.
+
+        The graph requirements come after the machine and job checks, so
+        :meth:`check` usually rejects before scanning the graph.
+        """
+        is_uniform = isinstance(instance, UniformInstance)
+        if self.machine_kind == "uniform" and not is_uniform:
+            yield "requires uniform machines (Q)"
+        if self.machine_kind == "unrelated" and not isinstance(
+            instance, UnrelatedInstance
+        ):
+            yield "requires unrelated machines (R)"
+        if instance.m < self.min_machines:
+            yield (
+                f"requires m >= {self.min_machines} (instance has m = "
+                f"{instance.m})"
+            )
+        if self.max_machines is not None and instance.m > self.max_machines:
+            yield (
+                f"requires m <= {self.max_machines} (instance has m = "
+                f"{instance.m})"
+            )
+        if self.unit_jobs and not (is_uniform and instance.has_unit_jobs):
+            if is_uniform:
+                yield "requires unit jobs (p_j = 1)"
+            else:
+                yield "requires unit jobs on uniform machines"
+        if self.identical and not (is_uniform and instance.is_identical):
+            yield "requires identical machine speeds"
+        graph = instance.graph
+        if self.graph == "edgeless" and graph.edge_count != 0:
+            yield (
+                f"requires an edgeless graph (instance has "
+                f"{graph.edge_count} edge(s))"
+            )
+        elif self.graph == "complete_bipartite":
+            if complete_bipartite_parts_with_free(graph) is None:
+                yield "requires K_{a,b} plus isolated vertices"
+        elif self.graph == "bipartite":
+            if not is_bipartite_structure(graph):
+                yield "requires a bipartite conflict graph"
+        elif self.graph == "complete_multipartite":
+            if multipartite_decomposition(graph) is None:
+                yield (
+                    "requires a complete multipartite conflict graph "
+                    "(+ isolated vertices)"
+                )
+        elif self.graph == "block":
+            if not is_block_structure(graph):
+                yield "requires a block conflict graph"
+        if not self.supports_eligibility:
+            if isinstance(instance, UniformInstance) and instance.has_eligibility:
+                yield "cannot honour machine-eligibility masks"
+            elif (
+                isinstance(instance, UnrelatedInstance)
+                and instance.has_eligibility
+            ):
+                yield "cannot honour forbidden job/machine pairs (null times)"
+
     def evaluate(
         self, instance: SchedulingInstance
     ) -> tuple[bool, tuple[str, ...]]:
@@ -202,81 +262,23 @@ class Capability:
         empty exactly when the capability matches), so explain mode can
         report *all* the ways an algorithm misses, not just the first.
         """
-        reasons: list[str] = []
-        is_uniform = isinstance(instance, UniformInstance)
-        is_unrelated = isinstance(instance, UnrelatedInstance)
-        if self.machine_kind == "uniform" and not is_uniform:
-            reasons.append("requires uniform machines (Q)")
-        if self.machine_kind == "unrelated" and not is_unrelated:
-            reasons.append("requires unrelated machines (R)")
-        if instance.m < self.min_machines:
-            reasons.append(
-                f"requires m >= {self.min_machines} (instance has m = "
-                f"{instance.m})"
-            )
-        if self.max_machines is not None and instance.m > self.max_machines:
-            reasons.append(
-                f"requires m <= {self.max_machines} (instance has m = "
-                f"{instance.m})"
-            )
-        if self.unit_jobs and not (
-            is_uniform and instance.has_unit_jobs
-        ):
-            if is_uniform:
-                reasons.append("requires unit jobs (p_j = 1)")
-            else:
-                reasons.append("requires unit jobs on uniform machines")
-        if self.identical and not (is_uniform and instance.is_identical):
-            reasons.append("requires identical machine speeds")
-        if self.graph == "edgeless" and instance.graph.edge_count != 0:
-            reasons.append(
-                f"requires an edgeless graph (instance has "
-                f"{instance.graph.edge_count} edge(s))"
-            )
-        if self.graph == "complete_bipartite":
-            structure = analyze_structure(instance.graph)
-            if structure.complete_bipartite_free is None:
-                reasons.append(
-                    "requires K_{a,b} plus isolated vertices"
-                )
-        elif self.graph == "bipartite":
-            if not is_bipartite_structure(instance.graph):
-                reasons.append("requires a bipartite conflict graph")
-        elif self.graph == "complete_multipartite":
-            if multipartite_decomposition(instance.graph) is None:
-                reasons.append(
-                    "requires a complete multipartite conflict graph "
-                    "(+ isolated vertices)"
-                )
-        elif self.graph == "block":
-            if not is_block_structure(instance.graph):
-                reasons.append("requires a block conflict graph")
-        if not self.supports_eligibility:
-            if isinstance(instance, UniformInstance) and instance.has_eligibility:
-                reasons.append("cannot honour machine-eligibility masks")
-            elif (
-                isinstance(instance, UnrelatedInstance)
-                and instance.has_eligibility
-            ):
-                reasons.append(
-                    "cannot honour forbidden job/machine pairs (null times)"
-                )
-        return (not reasons, tuple(reasons))
+        reasons = tuple(self._unmet(instance))
+        return not reasons, reasons
 
     def check(self, instance: SchedulingInstance) -> bool:
-        """Boolean form of :meth:`evaluate` (the derived ``applies``)."""
-        return self.evaluate(instance)[0]
+        """Whether every requirement holds; stops at the first unmet one."""
+        return next(self._unmet(instance), None) is None
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One registered algorithm.
 
-    ``capability`` states the *preconditions* declaratively; when no
-    explicit ``applies`` predicate is given, it is derived from the
-    capability (legacy specs may still pass a closure — the auditor's
-    test fixtures do).  Preconditions do not promise the method is a
-    good idea (brute force applies to everything).
+    ``capability`` states the *preconditions* declaratively and is the
+    only applicability rule: the default ``Capability()`` applies to
+    every instance without eligibility restrictions.  Preconditions do
+    not promise the method is a good idea (brute force applies to
+    everything).
 
     ``guarantee`` is the human-readable approximation guarantee, with
     its paper anchor.  ``ratio_bound`` is the *machine-checkable* form:
@@ -297,7 +299,6 @@ class AlgorithmSpec:
     name: str
     guarantee: str
     anchor: str
-    applies: Callable[[SchedulingInstance], bool] | None = None
     run: Callable[[SchedulingInstance], Schedule] | None = None
     ratio_bound: Callable[[SchedulingInstance], Fraction | None] | None = None
     guarantee_check: (
@@ -320,7 +321,7 @@ class AlgorithmSpec:
 
     The certification auditor only runs such methods inside its oracle
     cut-off; the portfolio never races them."""
-    capability: Capability | None = None
+    capability: Capability = Capability()
     auto_rank: int | None = None
     auto_when: Capability | None = None
 
@@ -329,33 +330,16 @@ class AlgorithmSpec:
             raise InvalidInstanceError(
                 f"algorithm {self.name!r} registered without a run callable"
             )
-        if self.applies is None:
-            cap = self.capability if self.capability is not None else Capability()
-            object.__setattr__(self, "applies", cap.check)
+
+    def applies(self, instance: SchedulingInstance) -> bool:
+        """Whether the capability holds for ``instance``."""
+        return self.capability.check(instance)
 
     def matches(
         self, instance: SchedulingInstance
     ) -> tuple[bool, tuple[str, ...]]:
-        """``(applies, rejection reasons)`` — the explainable form.
-
-        Capability-backed specs report structured reasons; legacy specs
-        with only a predicate closure degrade to a generic reason.
-        """
-        if self.capability is not None:
-            ok, reasons = self.capability.evaluate(instance)
-            derived = (
-                getattr(self.applies, "__func__", None) is Capability.check
-            )
-            # only consult an *explicit* predicate narrower than the
-            # capability — the derived applies IS capability.check, and
-            # re-running it would double every explain pass (including
-            # the analyze_structure graph scan)
-            if ok and not derived and not self.applies(instance):
-                return False, ("rejected by the applies predicate",)
-            return ok, reasons
-        if self.applies(instance):
-            return True, ()
-        return False, ("rejected by the applies predicate",)
+        """``(applies, rejection reasons)`` — the explainable form."""
+        return self.capability.evaluate(instance)
 
     def execute(self, instance: SchedulingInstance) -> Schedule:
         """Run the algorithm, coercing the graph representation if needed.
@@ -377,10 +361,8 @@ class AlgorithmSpec:
             raise InvalidInstanceError(
                 f"algorithm {self.name!r} has no run callable"
             )
-        cap = self.capability
         if (
-            cap is not None
-            and cap.graph in ("bipartite", "complete_bipartite")
+            self.capability.graph in ("bipartite", "complete_bipartite")
             and not isinstance(instance.graph, BipartiteGraph)
             and is_bipartite_structure(instance.graph)
         ):
@@ -734,10 +716,7 @@ def register_algorithm(
     dispatchable by name through :func:`repro.engine.solve`, listed by
     ``repro info``/``available_algorithms``, auditable by
     :mod:`repro.certify`, and (when ``auto_rank`` is set) eligible for
-    ``auto`` selection and portfolio racing.  Racing on a *worker pool*
-    additionally needs the registration to happen at import time (see
-    the module docstring) — a pool race reports a runtime-only plugin as
-    an errored entry rather than running it.
+    ``auto`` selection and portfolio racing.
     """
     return REGISTRY.register(spec, replace=replace)
 

@@ -1,10 +1,11 @@
 """The persistent serving layer: ``repro serve``.
 
 A long-lived process that accepts JSONL requests — one JSON object per
-line, over stdin/stdout or a TCP socket — and answers them from the
-engine.  Instances are canonicalized and content-hashed
-(:func:`repro.runtime.cache.task_key`), so a repeated identical query is
-answered from the cache without touching a solver; with a
+line on stdin — and answers them on stdout from the engine (TCP serving
+is the concurrent tier in :mod:`repro.engine.aserve`).  Instances are
+canonicalized and content-hashed (:func:`repro.runtime.cache.task_key`),
+so a repeated identical query is answered from the cache without
+touching a solver; with a
 :class:`~repro.runtime.cache.ShardedResultCache` directory the cache
 survives restarts and loads lazily per key prefix, keeping startup O(1)
 regardless of history size.
@@ -48,7 +49,6 @@ __all__ = [
     "EngineService",
     "parse_solve_request",
     "build_solve_record",
-    "serve_tcp",
 ]
 
 SERVE_FORMAT = "repro/serve/v1"
@@ -448,50 +448,3 @@ class EngineService:
             sink.flush()
         return self.stats
 
-
-def serve_tcp(
-    service: EngineService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_requests: int | None = None,
-    ready: "Any | None" = None,
-    backlog: int = 128,
-) -> int:
-    """Serve JSONL requests over a TCP socket, one connection at a time.
-
-    The *sequential* fallback behind ``repro serve --port --sync``:
-    connections are accepted strictly one after another, and within each
-    connection every received line is answered in order until the client
-    closes — only then is the next queued client served.  The raised
-    ``backlog`` (was 1) keeps overlapping clients queued in the kernel
-    instead of dropping their connects, so each of them *is* eventually
-    answered; the asyncio tier (:mod:`repro.engine.aserve`, the default
-    with ``--port``) is what serves them concurrently.
-
-    With ``max_requests`` the loop exits after that many requests
-    (one-shot smoke tests); ``port=0`` binds an ephemeral port.
-    ``ready``, when given, is a callable invoked with the bound
-    ``(host, port)`` once the socket is listening (tests use it to
-    rendezvous).  Returns the number of requests served.
-    """
-    import socket
-
-    served = 0
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen(backlog)
-        if ready is not None:
-            ready(server.getsockname())
-        while max_requests is None or served < max_requests:
-            conn, _ = server.accept()
-            with conn, conn.makefile("rw", encoding="utf-8") as stream:
-                for line in stream:
-                    if not line.strip():
-                        continue
-                    stream.write(service.handle_line(line) + "\n")
-                    stream.flush()
-                    served += 1
-                    if max_requests is not None and served >= max_requests:
-                        break
-    return served

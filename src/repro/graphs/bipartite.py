@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import InvalidInstanceError, NotBipartiteError
-from repro.graphs.conflict import ConflictGraph
+from repro.graphs.conflict import ConflictGraph, two_coloring
 
 __all__ = ["BipartiteGraph"]
 
@@ -98,28 +98,15 @@ class BipartiteGraph(ConflictGraph):
         return cls(n, remapped, side=side)
 
     def _infer_side(self) -> tuple[int, ...]:
-        """BFS 2-coloring used as the bipartition witness.
+        """The canonical 2-coloring used as the bipartition witness.
 
         Isolated vertices land on side 0; each component's lowest-index
         vertex lands on side 0, making the witness deterministic.
         """
-        side = [-1] * self._n
-        for start in range(self._n):
-            if side[start] != -1:
-                continue
-            side[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for v in self._adj[u]:
-                    if side[v] == -1:
-                        side[v] = 1 - side[u]
-                        queue.append(v)
-                    elif side[v] == side[u]:
-                        raise NotBipartiteError(
-                            f"odd cycle detected through edge ({u}, {v})"
-                        )
-        return tuple(side)
+        side = two_coloring(self)
+        if side is None:
+            raise NotBipartiteError("odd cycle detected; the graph has no bipartition")
+        return side
 
     # ------------------------------------------------------------------ #
     # basic accessors

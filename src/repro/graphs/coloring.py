@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.exceptions import NotBipartiteError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import connected_components
+from repro.graphs.conflict import two_coloring
 
 __all__ = [
     "proper_two_coloring",
@@ -29,18 +31,10 @@ def proper_two_coloring(graph: BipartiteGraph) -> tuple[int, ...]:
     result therefore depends only on the graph, not on the declared
     bipartition witness.
     """
-    color = [-1] * graph.n
-    for comp in connected_components(graph):
-        root = comp[0]
-        color[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in graph.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-    return tuple(color)
+    color = two_coloring(graph)
+    if color is None:
+        raise NotBipartiteError("graph has an odd cycle; no proper 2-coloring exists")
+    return color
 
 
 def inequitable_two_coloring(

@@ -36,6 +36,7 @@ __all__ = [
     "CompleteMultipartiteGraph",
     "BlockGraph",
     "biconnected_components",
+    "two_coloring",
 ]
 
 
@@ -356,6 +357,32 @@ def biconnected_components(graph: ConflictGraph) -> list[list[int]]:
                     blocks.append(sorted(comp))
     blocks.sort()
     return blocks
+
+
+def two_coloring(graph: ConflictGraph) -> tuple[int, ...] | None:
+    """The canonical proper 2-coloring (0/1 per vertex), or ``None``.
+
+    Each component's smallest vertex gets color 0.  A connected bipartite
+    graph has exactly one 2-coloring once one vertex's color is fixed,
+    so the result depends only on adjacency, never on the representation
+    or on a declared bipartition witness.  ``None`` means an odd cycle.
+    """
+    color = [-1] * graph.n
+    for root in range(graph.n):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            other = 1 - color[u]
+            for v in graph.neighbors(u):
+                if color[v] == -1:
+                    color[v] = other
+                    stack.append(v)
+                elif color[v] != other:
+                    return None
+    return tuple(color)
 
 
 class BlockGraph(ConflictGraph):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.exceptions import NotBipartiteError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import connected_components
-from repro.graphs.conflict import ConflictGraph, biconnected_components
+from repro.graphs.conflict import ConflictGraph, biconnected_components, two_coloring
 
 __all__ = [
     "is_empty",
@@ -106,25 +106,9 @@ def is_bipartite_structure(graph: ConflictGraph) -> bool:
 
     :class:`~repro.graphs.bipartite.BipartiteGraph` instances carry a
     validated witness and short-circuit to ``True``; other
-    representations are checked by BFS 2-coloring.
+    representations are checked by 2-coloring.
     """
-    if isinstance(graph, BipartiteGraph):
-        return True
-    color = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in graph.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    return isinstance(graph, BipartiteGraph) or two_coloring(graph) is not None
 
 
 def as_bipartite_graph(graph: ConflictGraph) -> BipartiteGraph:
@@ -134,30 +118,17 @@ def as_bipartite_graph(graph: ConflictGraph) -> BipartiteGraph:
     covers) need the concrete representation with its side witness, but
     :mod:`repro.engine` gates them *structurally* — a 2-colorable
     :class:`~repro.graphs.conflict.BlockGraph` (a forest, say) passes the
-    gate.  This converts such a graph by BFS 2-coloring, preserving
-    vertex numbering; isolated vertices land on side 0.  Raises
-    :class:`~repro.exceptions.NotBipartiteError` on an odd cycle.
+    gate.  This converts such a graph with its canonical 2-coloring,
+    preserving vertex numbering; isolated vertices land on side 0.
+    Raises :class:`~repro.exceptions.NotBipartiteError` on an odd cycle.
 
     ``BipartiteGraph`` inputs are returned unchanged.
     """
     if isinstance(graph, BipartiteGraph):
         return graph
-    color = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in graph.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise NotBipartiteError(
-                        f"graph has an odd cycle through vertices {u} and {v}"
-                    )
+    color = two_coloring(graph)
+    if color is None:
+        raise NotBipartiteError("graph has an odd cycle, so it is not bipartite")
     edges = [
         (u, v) for u in range(graph.n) for v in graph.neighbors(u) if u < v
     ]

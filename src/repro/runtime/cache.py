@@ -61,58 +61,6 @@ def task_key(payload: dict[str, Any], algorithm: str, certify: bool = False) -> 
     return digest.hexdigest()
 
 
-def _load_jsonl_records(path: Path) -> tuple[dict[str, dict[str, Any]], bool]:
-    """Parse one JSONL cache file into ``key -> record`` (shared loader).
-
-    Tolerates malformed lines: a run killed mid-append leaves a
-    truncated tail (possibly with non-UTF-8 garbage bytes), and that
-    must not brick the whole cache; duplicate keys across appending runs
-    deterministically keep the newest record (last wins).  The second
-    return value flags a tail missing its newline — appending onto it
-    would splice the next record onto the broken line, so callers heal
-    it before their first put.
-    """
-    text = path.read_text(encoding="utf-8", errors="replace")
-    heal_tail = bool(text) and not text.endswith("\n")
-    records: dict[str, dict[str, Any]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        key = record.get("key") if isinstance(record, dict) else None
-        if isinstance(key, str):
-            records[key] = record
-    return records, heal_tail
-
-
-def _checked_store(
-    records: dict[str, dict[str, Any]], key: str, record: dict[str, Any]
-) -> bool:
-    """Store into ``records`` with collision semantics; True if new.
-
-    Re-storing the *same* record is a no-op; re-storing a key with a
-    *different* record raises :exc:`CacheCollisionError` — keys are
-    content hashes, so a mismatch means serialisation drift or a
-    poisoned cache file, and silently keeping the old record would mask
-    exactly the bugs the certifier exists to catch.
-    """
-    existing = records.get(key)
-    if existing is not None:
-        if existing == record:
-            return False
-        raise CacheCollisionError(
-            f"cache key {key[:16]}... already holds a different record "
-            "(same content hash, different data: serialisation drift "
-            "or corrupted cache file)"
-        )
-    records[key] = record
-    return True
-
-
 class ResultCache:
     """``task_key -> result record`` map, optionally backed by JSONL.
 
@@ -129,6 +77,13 @@ class ResultCache:
     the right trade for batch runs that will touch most keys anyway.
     Long-lived services with large histories should use
     :class:`ShardedResultCache`, which loads per-prefix shards lazily.
+
+    Loading tolerates malformed lines: a run killed mid-append leaves a
+    truncated tail (possibly with non-UTF-8 garbage bytes), and that
+    must not brick the whole cache; duplicate keys across appending runs
+    deterministically keep the newest record (last wins).  A tail
+    missing its newline is healed before the first append, so the next
+    record never splices onto the broken line.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -136,7 +91,19 @@ class ResultCache:
         self._records: dict[str, dict[str, Any]] = {}
         self._heal_tail = False
         if self.path is not None and self.path.exists():
-            self._records, self._heal_tail = _load_jsonl_records(self.path)
+            text = self.path.read_text(encoding="utf-8", errors="replace")
+            self._heal_tail = bool(text) and not text.endswith("\n")
+            for line in text.splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                key = record.get("key") if isinstance(record, dict) else None
+                if isinstance(key, str):
+                    self._records[key] = record
 
     def __len__(self) -> int:
         return len(self._records)
@@ -155,11 +122,22 @@ class ResultCache:
     def put(self, key: str, record: dict[str, Any]) -> None:
         """Store ``record`` under ``key`` (and append it to the file).
 
-        Same-record re-puts are no-ops; different-record re-puts raise
-        :exc:`CacheCollisionError` (see :func:`_checked_store`).
+        Re-storing the *same* record is a no-op; re-storing a key with a
+        *different* record raises :exc:`CacheCollisionError` — keys are
+        content hashes, so a mismatch means serialisation drift or a
+        poisoned cache file, and silently keeping the old record would
+        mask exactly the bugs the certifier exists to catch.
         """
-        if not _checked_store(self._records, key, record):
-            return
+        existing = self._records.get(key)
+        if existing is not None:
+            if existing == record:
+                return
+            raise CacheCollisionError(
+                f"cache key {key[:16]}... already holds a different record "
+                "(same content hash, different data: serialisation drift "
+                "or corrupted cache file)"
+            )
+        self._records[key] = record
         if self.path is not None:
             if self._heal_tail:
                 with self.path.open("a", encoding="utf-8") as fh:
@@ -176,14 +154,11 @@ class ShardedResultCache:
     keys, a serial-load hot path for a long-lived service that answers
     point queries.  This cache splits the ``key -> record`` space by the
     first ``shard_chars`` hex characters of the (SHA-256) task key into
-    ``shard-<prefix>.jsonl`` files and parses a shard only on the first
-    access of a key in it, so service startup is O(1) and each request
-    pays for exactly one shard.
-
-    Each shard keeps the single-file semantics: malformed/truncated
-    lines are skipped, non-UTF-8 garbage is tolerated, a tail missing
-    its newline is healed before the shard's first append, and
-    same-key/different-record puts raise :exc:`CacheCollisionError`.
+    ``shard-<prefix>.jsonl`` files and opens each shard as a
+    :class:`ResultCache` only on the first access of a key in it, so
+    service startup is O(1) and each request pays for exactly one shard.
+    Each shard therefore keeps the single-file semantics: tolerant
+    loading, tail healing, and collision errors.
 
     Parameters
     ----------
@@ -203,8 +178,7 @@ class ShardedResultCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.shard_chars = shard_chars
-        self._shards: dict[str, dict[str, dict[str, Any]]] = {}
-        self._heal_tail: dict[str, bool] = {}
+        self._shards: dict[str, ResultCache] = {}
         # a directory written with a different prefix length would make
         # every lookup miss its records (and re-solves would write
         # conflicting duplicates beside them) — fail loudly instead
@@ -224,22 +198,16 @@ class ShardedResultCache:
         # reads as a different shard_chars and reject the directory
         return key[: self.shard_chars].ljust(self.shard_chars, "_")
 
-    def _shard_path(self, shard_id: str) -> Path:
-        return self.directory / f"shard-{shard_id}.jsonl"
+    def _open(self, shard_id: str) -> ResultCache:
+        """One shard's cache, parsing its file on first use."""
+        shard = self._shards.get(shard_id)
+        if shard is None:
+            shard = ResultCache(self.directory / f"shard-{shard_id}.jsonl")
+            self._shards[shard_id] = shard
+        return shard
 
-    def _shard(self, shard_id: str) -> dict[str, dict[str, Any]]:
-        """The in-memory map of one shard, parsing its file on first use."""
-        loaded = self._shards.get(shard_id)
-        if loaded is not None:
-            return loaded
-        path = self._shard_path(shard_id)
-        if path.exists():
-            records, heal = _load_jsonl_records(path)
-        else:
-            records, heal = {}, False
-        self._shards[shard_id] = records
-        self._heal_tail[shard_id] = heal
-        return records
+    def _shard(self, key: str) -> ResultCache:
+        return self._open(self._shard_id(key))
 
     @property
     def loaded_shards(self) -> tuple[str, ...]:
@@ -251,30 +219,21 @@ class ShardedResultCache:
         return sorted(self.directory.glob("shard-*.jsonl"))
 
     def __contains__(self, key: str) -> bool:
-        return key in self._shard(self._shard_id(key))
+        return key in self._shard(key)
 
     def __len__(self) -> int:
         """Total record count — loads *every* shard (tests/diagnostics)."""
         for path in self.shard_files():
-            shard_id = path.stem.removeprefix("shard-")
-            self._shard(shard_id)
+            self._open(path.stem.removeprefix("shard-"))
         return sum(len(shard) for shard in self._shards.values())
 
     def record(self, key: str) -> dict[str, Any]:
         """The stored record for ``key`` (``KeyError`` if absent)."""
-        return self._shard(self._shard_id(key))[key]
+        return self._shard(key).record(key)
 
     def put(self, key: str, record: dict[str, Any]) -> None:
         """Store ``record`` under ``key`` and append it to its shard file."""
-        shard_id = self._shard_id(key)
-        if not _checked_store(self._shard(shard_id), key, record):
-            return
-        path = self._shard_path(shard_id)
-        if self._heal_tail.get(shard_id):
-            with path.open("a", encoding="utf-8") as fh:
-                fh.write("\n")
-            self._heal_tail[shard_id] = False
-        append_jsonl(record, path)
+        self._shard(key).put(key, record)
 
     @classmethod
     def migrate_jsonl(

@@ -25,12 +25,11 @@ class RegistryContractRule(Rule):
     The engine's dispatch, explain mode, portfolio racing, and the
     certification auditor all reason from
     :class:`~repro.engine.registry.Capability` — a spec registered
-    without one falls back to an opaque predicate the dispatcher can
-    neither rank nor explain, and the auditor cannot tell *why* it
-    applies.  The rule also keeps the ``auto`` policy a total order:
-    ``auto_rank`` values must be integer literals (statically
-    comparable) and unique within a file, so "lowest rank wins" never
-    ties arbitrarily.
+    without one gets the default ``Capability()`` and applies to every
+    instance, which is rarely what its algorithm can handle.  The rule
+    also keeps the ``auto`` policy a total order: ``auto_rank`` values
+    must be integer literals (statically comparable) and unique within a
+    file, so "lowest rank wins" never ties arbitrarily.
     """
 
     rule_id = "RS002"
@@ -64,15 +63,16 @@ class RegistryContractRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    "AlgorithmSpec registered without capability=...; the "
-                    "dispatcher cannot rank or explain an opaque spec",
+                    "AlgorithmSpec registered without capability=...; a "
+                    "spec without one applies to every instance",
                 )
             elif isinstance(capability, ast.Constant) and capability.value is None:
                 yield self.finding(
                     ctx,
                     node,
-                    "capability=None is an opaque registration; declare a "
-                    "structured Capability(...)",
+                    "capability=None is not a Capability; a spec without "
+                    "one applies to every instance, so declare a structured "
+                    "Capability(...)",
                 )
             rank = keywords.get("auto_rank")
             if rank is None:

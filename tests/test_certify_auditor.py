@@ -10,9 +10,15 @@ from repro.certify import (
 from repro.graphs.generators import matching_graph, path_graph
 from repro.scheduling.instance import UniformInstance
 from repro.scheduling.schedule import Schedule
-from repro.engine import ALGORITHMS, AlgorithmSpec
+from repro.engine import ALGORITHMS, AlgorithmSpec, Capability
 
 F = Fraction
+
+#: test-fixture capabilities: two uniform machines, or any instance
+_UNIFORM_M2 = Capability(
+    machine_kind="uniform", min_machines=2, max_machines=2, supports_eligibility=True
+)
+_ANY = Capability(supports_eligibility=True)
 
 
 def _worst_split(instance):
@@ -70,8 +76,7 @@ class TestLyingSpecCaught:
             name="liar",
             guarantee="claims exact, is not",
             anchor="test fixture",
-            applies=lambda inst: isinstance(inst, UniformInstance)
-            and inst.m == 2,
+            capability=_UNIFORM_M2,
             run=_worst_split,
             ratio_bound=lambda inst: F(1),
         )
@@ -92,8 +97,7 @@ class TestLyingSpecCaught:
             name="honest",
             guarantee="2-approximate color split (true on this instance)",
             anchor="test fixture",
-            applies=lambda inst: isinstance(inst, UniformInstance)
-            and inst.m == 2,
+            capability=_UNIFORM_M2,
             run=_worst_split,
             ratio_bound=lambda inst: F(100),
         )
@@ -109,7 +113,7 @@ class TestLyingSpecCaught:
             name="crammer",
             guarantee="claims feasibility, ignores the graph",
             anchor="test fixture",
-            applies=lambda inst: True,
+            capability=_ANY,
             run=cram,
             ratio_bound=lambda inst: F(1),
         )
@@ -130,7 +134,7 @@ class TestLyingSpecCaught:
             name="boom",
             guarantee="none",
             anchor="test fixture",
-            applies=lambda inst: True,
+            capability=_ANY,
             run=boom,
         )
         inst = UniformInstance(path_graph(2), [1, 1], [1, 1])
@@ -151,7 +155,7 @@ class TestLyingSpecCaught:
             name="cram_checked",
             guarantee="claims feasibility",
             anchor="test fixture",
-            applies=lambda inst: True,
+            capability=_ANY,
             run=cram_checked,
         )
         inst = UniformInstance(matching_graph(1), [1, 1], [1, 1])
@@ -169,7 +173,7 @@ class TestLyingSpecCaught:
             name="giver",
             guarantee="none",
             anchor="test fixture",
-            applies=lambda inst: True,
+            capability=_ANY,
             run=give_up,
         )
         inst = UniformInstance(path_graph(2), [1, 1], [1, 1])
@@ -185,8 +189,7 @@ class TestLyingSpecCaught:
             name="pred_liar",
             guarantee="claims Cmax^2 <= OPT^2 (i.e. exact)",
             anchor="test fixture",
-            applies=lambda inst: isinstance(inst, UniformInstance)
-            and inst.m == 2,
+            capability=_UNIFORM_M2,
             run=_worst_split,
             guarantee_check=lambda inst, cmax, opt: cmax * cmax
             <= opt * opt,

@@ -516,7 +516,7 @@ class TestServe:
         err = capsys.readouterr().err
         assert "0 coalesced, 0 rejected" in err
 
-    def _serve_tcp_one_shot(self, argv, requests):
+    def _tcp_one_shot(self, argv, requests):
         """Run `repro serve` in a thread, drive it over TCP, return responses."""
         import io
         import json
@@ -560,7 +560,7 @@ class TestServe:
 
     def test_tcp_default_is_the_async_tier(self):
         requests = [self._request_line(1), self._request_line(2)]
-        responses, err = self._serve_tcp_one_shot(
+        responses, err = self._tcp_one_shot(
             ["serve", "--port", "0", "--max-requests", "2",
              "--max-inflight", "4", "--max-queue", "8"],
             requests,
@@ -569,15 +569,6 @@ class TestServe:
         assert responses[0]["cached"] is False
         assert responses[1]["cached"] is True
         assert "1 solved, 1 cached" in err
-
-    def test_tcp_sync_flag_keeps_the_sequential_tier(self):
-        responses, err = self._serve_tcp_one_shot(
-            ["serve", "--port", "0", "--max-requests", "1", "--sync"],
-            [self._request_line(1)],
-        )
-        assert responses[0]["format"] == "repro/serve/v1"
-        assert responses[0]["ok"] is True
-        assert "1 solved" in err
 
     def test_stats_interval_flag_logs_metrics(self):
         import io

@@ -1,6 +1,8 @@
 """Tests for :mod:`repro.engine.dispatch` — ranked auto selection,
 behaviour-identity with the pre-engine policy, and explain mode."""
 
+import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -163,6 +165,38 @@ FROZEN_APPLICABILITY = {
 }
 
 
+#: sha256 of ``json.dumps(explain_dispatch(instance).to_dict())`` per
+#: corpus instance, recorded while a spec could still pass its own
+#: predicate closure beside its capability.  Serve replies with
+#: ``"explain": true`` embed exactly this dict, so the pin also guards
+#: their bytes: every reason string, rank and verdict must stay as it was
+FROZEN_EXPLAIN_SHA256 = {
+    "Kab_unit_q3": "c785a4e348e6b89d1fb449cea671e0b0db3c779b9ac7d8655070aed82098d28f",
+    "Kab_unit_q1": "f6f1cac5fa8439ca9872880f2867ef83da1754dc0b3b17c0a137ab3f88e1b573",
+    "crown_unit_q2": "93a4eba45cb94342c292129fa29d8475f113bde1683b987f880c06c90d576484",
+    "empty_unit_q1": "1419f87f174b568333d1b28525c1956aa294119d1719803e692eff8d15a553c0",
+    "empty_unit_q3": "5a9fbeeec7ff7a8e45cea75068559e713e315f2eddc821a28dea3fd0e831bd34",
+    "crown_unit_q3": "102a90b36ac320bcf277b894fbc56e427d2d67889b7e675abc8606ce5ffcadac",
+    "path_unit_q2": "2d70001a4d857ccb7e9a7046f79ef24f02c715b0f86d9718d3bc7bb437f4b1ce",
+    "gnnp_unit_q3": "102a90b36ac320bcf277b894fbc56e427d2d67889b7e675abc8606ce5ffcadac",
+    "empty_ident_p3": "a4994c1b72da01947ba2e47b3f702b0dd10631a6f5d65bb16679c613c5749795",
+    "empty_q2": "aa40ea21a2e7625e20dcdce3dfe6c8ece61a43076b97f494acb33e1f67a1a5e7",
+    "empty_q1_weighted": "264ca33a31c77de2b3335c4aacfb538bcb542b29f902f23740923085ac13346a",
+    "crown_q2_weighted": "f4881944aa7fcf1e8b0d5ebd50a6bcb8c5d93b7ab0e5e14f1c3e76928af40875",
+    "crown_q3_weighted": "8a9f16f93179300450e0012c8967375eec60329d5700c3b8305fb36bfdf9ac65",
+    "matching_ident_m2": "908584875d5c911f48574b18accceb2dc61385c62ef4ec36e24de6f9880c4edd",
+    "matching_ident_m4": "62d1a240faf57a6568d638344169a23c7bf7bb8d6ec2c30a54cb9175fcdbe76b",
+    "star_q2_weighted": "965196fad27d2d7ada4a2573c6af8d442701c887ae22ed21d1c86330e1760f2b",
+    "edge_r2": "2e599b732de81d90ec0b5f0553ad082aada58e409a0431d27b5472c06d278fe4",
+    "empty_r2": "baaff0381a8dc460fa2e62cf3853e59b2c794d1ca9e18e1d218cf556ca46df54",
+    "empty_r3": "2bbf7cd9316548ca2106c15cf939e4d082de1c23e39310fb1ccd3b6d0a741bef",
+    "K22_r3": "7adfee5277c7a962b7fd19dee5c5d42c2ee60e737d0c843cff385f7218b2209f",
+    "path_r4": "6530c9ec745a6e15c70b7e53bccafa28abf6c5211ecd1735e236aa6f14b52f91",
+    "edge_r1": "90752b6e069b8bee12628caaa3e1eed3cf2cf41ba8b89852b8b74d4c6d82393f",
+    "crown_unit_q1_infeasible": "9a5f11a4399da944b0457c3bb192aa53dd012969fb8be8eae29a6cb495338ccc",
+}
+
+
 def _choice_or_sentinel(instance) -> str:
     try:
         return auto_choice(instance)
@@ -198,6 +232,12 @@ class TestFrozenCorpus:
             else:
                 answers.append((list(schedule.assignment), schedule.makespan))
         assert answers[0] == answers[1]
+
+    @pytest.mark.parametrize("name,instance", list(_corpus()))
+    def test_explain_report_bytes_frozen(self, name, instance):
+        text = json.dumps(explain_dispatch(instance).to_dict())
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == FROZEN_EXPLAIN_SHA256[name]
 
     def test_applicability_sets_frozen(self):
         instances = dict(_corpus())
@@ -323,8 +363,6 @@ class TestExplain:
         assert report.chosen is None and "unknown algorithm" in report.error
 
     def test_report_round_trips_to_json(self):
-        import json
-
         inst = unit_uniform_instance(generators.crown(4), [F(3), F(1)])
         data = json.loads(json.dumps(explain_dispatch(inst).to_dict()))
         assert data["chosen"] == "q2_unit_exact"

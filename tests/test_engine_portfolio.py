@@ -13,7 +13,6 @@ from repro.engine import (
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs import generators
 from repro.random_graphs.gilbert import gnnp
-from repro.runtime import BatchRunner
 from repro.scheduling.instance import (
     UnrelatedInstance,
     unit_uniform_instance,
@@ -135,28 +134,3 @@ class TestRace:
         text = portfolio_solve(inst, k=3).table()
         assert "portfolio" in text and "Cmax" in text
 
-
-class TestPoolRace:
-    def test_pool_race_matches_sequential(self):
-        inst = UnrelatedInstance(
-            generators.path_graph(5),
-            [[1 + ((i * j) % 4) for j in range(5)] for i in range(3)],
-        )
-        sequential = portfolio_solve(inst, k=3, early_cutoff=False)
-        with BatchRunner(workers=2) as runner:
-            raced = portfolio_solve(inst, k=3, runner=runner, early_cutoff=False)
-        assert raced.makespan == sequential.makespan
-        # without the cutoff the full field is received, so makespan
-        # ties break by candidate order and the winner is deterministic
-        assert raced.chosen == sequential.chosen
-        assert raced.schedule.is_feasible()
-        assert {e.algorithm for e in raced.entries} == {
-            e.algorithm for e in sequential.entries
-        }
-
-    def test_workers_one_runner_falls_back_to_sequential(self):
-        inst = unit_uniform_instance(generators.crown(4), [F(3), F(1)])
-        with BatchRunner(workers=1) as runner:
-            assert runner.worker_pool() is None
-            result = portfolio_solve(inst, k=2, runner=runner)
-        assert result.schedule.is_feasible()

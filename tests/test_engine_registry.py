@@ -101,6 +101,27 @@ class TestCapability:
         ok, reasons = cap.evaluate(_q2_unit())
         assert not ok and len(reasons) == 2
 
+    def test_check_stops_before_the_graph_scan(self, monkeypatch):
+        """check returns at the first unmet requirement: a non-unit
+        instance fails on unit jobs before the K_{a,b} scan runs, while
+        evaluate goes on to collect every reason."""
+        from repro.engine import registry
+        from repro.scheduling.instance import UniformInstance
+
+        def scan(graph):
+            raise AssertionError("graph predicate called")
+
+        monkeypatch.setattr(registry, "complete_bipartite_parts_with_free", scan)
+        cap = Capability(
+            machine_kind="uniform", graph="complete_bipartite", unit_jobs=True
+        )
+        heavy = UniformInstance(
+            generators.complete_bipartite(2, 2), [2, 1, 1, 1], [F(2), F(1)]
+        )
+        assert cap.check(heavy) is False
+        with pytest.raises(AssertionError, match="graph predicate called"):
+            cap.evaluate(heavy)
+
     def test_invalid_fields_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Capability(machine_kind="quantum")
@@ -175,18 +196,6 @@ class TestAlgorithmSpec:
     def test_run_required(self):
         with pytest.raises(InvalidInstanceError, match="run callable"):
             AlgorithmSpec(name="broken", guarantee="none", anchor="test")
-
-    def test_legacy_predicate_still_works(self):
-        spec = AlgorithmSpec(
-            name="legacy",
-            guarantee="none",
-            anchor="test",
-            applies=lambda inst: inst.m == 2,
-            run=lambda inst: None,
-        )
-        assert spec.applies(_q2_unit())
-        ok, reasons = spec.matches(_q2_unit())
-        assert ok and reasons == ()
 
     def test_every_builtin_spec_is_capability_backed(self):
         for spec in ALGORITHMS.values():

@@ -2,10 +2,9 @@
 
 import io
 import json
-import threading
 from fractions import Fraction
 
-from repro.engine import EngineService, SERVE_FORMAT, serve_tcp
+from repro.engine import EngineService, SERVE_FORMAT
 from repro.graphs import generators
 from repro.io import instance_to_dict
 from repro.runtime import ShardedResultCache
@@ -325,88 +324,3 @@ class TestOps:
             {"op": "solve", "id": 1, "instance": instance_to_dict(inst)}
         )
         assert response["ok"] and response["chosen"] == "r2_fptas"
-
-
-class TestTcp:
-    def test_one_shot_tcp_round_trip(self):
-        import socket
-
-        service = EngineService()
-        address: list = []
-        bound = threading.Event()
-
-        def ready(addr):
-            address.append(addr)
-            bound.set()
-
-        server = threading.Thread(
-            target=serve_tcp,
-            args=(service,),
-            kwargs={"port": 0, "max_requests": 2, "ready": ready},
-            daemon=True,
-        )
-        server.start()
-        assert bound.wait(timeout=10)
-        host, port = address[0]
-        with socket.create_connection((host, port), timeout=10) as conn:
-            with conn.makefile("rw", encoding="utf-8") as stream:
-                stream.write(json.dumps(_solve_request(request_id=1)) + "\n")
-                stream.flush()
-                first = json.loads(stream.readline())
-                stream.write(json.dumps(_solve_request(request_id=2)) + "\n")
-                stream.flush()
-                second = json.loads(stream.readline())
-        server.join(timeout=10)
-        assert not server.is_alive()
-        assert first["ok"] and first["cached"] is False
-        assert second["ok"] and second["cached"] is True
-
-    def test_interleaved_connections_are_all_answered(self):
-        """Regression for the listen(1) era: clients that connect while
-        another connection is being served must queue in the raised
-        backlog and eventually be answered — never dropped or wedged."""
-        import socket
-
-        service = EngineService()
-        address: list = []
-        bound = threading.Event()
-
-        def ready(addr):
-            address.append(addr)
-            bound.set()
-
-        clients = 3
-        server = threading.Thread(
-            target=serve_tcp,
-            args=(service,),
-            kwargs={"port": 0, "max_requests": clients, "ready": ready},
-            daemon=True,
-        )
-        server.start()
-        assert bound.wait(timeout=10)
-        host, port = address[0]
-
-        # open every connection up front — while the server is busy with
-        # the first, the others sit in the kernel backlog
-        connections = [
-            socket.create_connection((host, port), timeout=10)
-            for _ in range(clients)
-        ]
-        responses = []
-        try:
-            for i, conn in enumerate(connections):
-                with conn.makefile("rw", encoding="utf-8") as stream:
-                    stream.write(
-                        json.dumps(_solve_request(request_id=i)) + "\n"
-                    )
-                    stream.flush()
-                    responses.append(json.loads(stream.readline()))
-                conn.close()
-        finally:
-            for conn in connections:
-                conn.close()
-        server.join(timeout=10)
-        assert not server.is_alive()
-        assert [r["id"] for r in responses] == list(range(clients))
-        assert all(r["ok"] for r in responses)
-        assert service.stats.solved == 1 and service.stats.cached == clients - 1
