@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--workers", type=int, default=1,
         help="async tier: solver processes (1 = in-process thread pool; "
-        ">1 = persistent multiprocessing pool)",
+        ">1 = process pool, replaced if a worker dies)",
     )
     srv.add_argument(
         "--max-inflight", type=int, default=8,

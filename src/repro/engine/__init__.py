@@ -12,13 +12,14 @@ Five cooperating layers:
 * :mod:`repro.engine.portfolio` — race k eligible algorithms in turn
   and keep the best certified makespan, with early cutoff at the exact
   lower bound;
-* :mod:`repro.engine.service` — the persistent serving loop behind
-  ``repro serve``: JSONL requests over stdin, canonical content-hash
-  keys, repeat queries answered from a lazily-loaded sharded cache;
+* :mod:`repro.engine.service` — the serve request protocol both
+  serving tiers extend, and the stdin loop behind ``repro serve``:
+  JSONL requests, canonical content-hash keys, repeat queries answered
+  from a lazily-loaded sharded cache;
 * :mod:`repro.engine.aserve` — the concurrent asyncio TCP tier (the
   default for ``repro serve --port``): many connections on one event
-  loop, solves on a worker pool, in-flight coalescing by content hash,
-  admission control, and a p50/p95/p99 latency surface.
+  loop, solves on a thread or process pool, in-flight coalescing by
+  content hash, admission control, and a p50/p95/p99 latency surface.
 """
 
 from repro.engine.registry import (

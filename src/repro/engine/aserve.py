@@ -1,16 +1,17 @@
 """The asyncio TCP serving tier behind ``repro serve --port``.
 
-:mod:`repro.engine.service` keeps the protocol and the stdin stream
-mode; this module multiplexes many TCP connections on one event loop and
-never blocks that loop on a solver:
+The request protocol itself — line decoding, control ops, parsing,
+cache keys and the cache check, error and reply shapes — is
+:class:`repro.engine.service.ServeProtocol`, shared with the stdin
+tier.  This module multiplexes many TCP connections on one event loop
+and never blocks that loop on a solver:
 
-* **dispatch** — solves run off-loop: on an in-process thread pool by
-  default (``workers=1``), or on
-  :class:`~repro.runtime.batch.BatchRunner`'s persistent multiprocessing
-  pool (``workers > 1``), bridged back into the loop via
-  ``apply_async`` callbacks.  The loop itself only parses, hashes, and
-  routes, so a slow ``certified_optimal``-scale solve on one connection
-  never stalls the others.
+* **executor** — every fresh solve is one ``loop.run_in_executor`` call
+  of :func:`~repro.engine.service.build_solve_record`: on a thread pool
+  by default (``workers=1``), or on a process pool (``workers > 1``).
+  A worker process that dies ends its request in a typed
+  ``BrokenProcessPool`` error, and the broken pool is replaced, so the
+  next request is served.
 * **coalescing** — identical in-flight requests (same
   :func:`~repro.runtime.cache.task_key` content hash, which already
   namespaces by algorithm/portfolio) share one solve: the first request
@@ -39,18 +40,23 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Any, Callable, TextIO
 
-from repro.engine.dispatch import explain_dispatch
 from repro.engine.service import (
-    EngineService,
+    ServeProtocol,
+    SolveJob,
     build_solve_record,
-    parse_solve_request,
+    failed_record,
 )
-from repro.exceptions import CacheCollisionError, ReproError
-from repro.io import instance_from_dict
-from repro.runtime.cache import task_key
+from repro.exceptions import ReproError
+
+# not called here: e2ebench/tracing.py wraps these two names in this
+# module's namespace and reports a missing trace site without them
+from repro.io import instance_from_dict  # noqa: F401
+from repro.runtime.cache import task_key  # noqa: F401
 
 __all__ = [
     "SERVE_FORMAT_V2",
@@ -66,53 +72,26 @@ SERVE_FORMAT_V2 = "repro/serve/v2"
 LINE_LIMIT = 1 << 22
 
 
-def _pool_solve(
-    payload: dict[str, Any],
-    algorithm: str,
-    portfolio_k: int | None,
-    key: str,
-) -> dict[str, Any]:
-    """Worker entry point: one solve, never raises (module-level, picklable).
-
-    Failures come back as an ``ok=false`` record shaped like the sync
-    service's error responses (``ReproError`` keeps its bare message,
-    anything else is prefixed with its type), so the event loop treats
-    worker-side defects as data instead of dying on them.
-    """
-    try:
-        return build_solve_record(payload, algorithm, portfolio_k, key)
-    except ReproError as exc:
-        return {"ok": False, "kind": "serve_error", "key": key, "error": str(exc)}
-    except Exception as exc:  # noqa: BLE001 — worker must answer, not crash
-        return {
-            "ok": False,
-            "kind": "serve_error",
-            "key": key,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-
-
-class AsyncEngineService:
-    """Asyncio request handler: coalescing, admission control, metrics.
+class AsyncEngineService(ServeProtocol):
+    """Asyncio request handler: coalescing, admission control, executor.
 
     Parameters
     ----------
     cache:
-        As :class:`~repro.engine.service.EngineService` — ``None``,
+        As :class:`~repro.engine.service.ServeProtocol` — ``None``,
         a ready cache object, or a path (directory → sharded cache).
     algorithm:
         Default algorithm for requests without their own.
     workers:
         ``1`` (default) solves on an in-process thread pool — on one
         core the GIL serialises the compute but the event loop stays
-        responsive; ``> 1`` hands solves to a persistent
-        :class:`~repro.runtime.batch.BatchRunner` multiprocessing pool
-        for real parallelism (worker processes see the built-in
+        responsive; ``> 1`` solves on a process pool of that many
+        workers for real parallelism (worker processes see the built-in
         registry only, not runtime-registered plugins).
     max_inflight:
-        Concurrent fresh solves admitted to the pool.
+        Concurrent fresh solves admitted to the executor.
     max_queue:
-        Admitted solves allowed to wait for a pool slot beyond
+        Admitted solves allowed to wait for an executor slot beyond
         ``max_inflight``; past that, fresh solves are rejected with
         ``error="overloaded"``.
 
@@ -124,6 +103,8 @@ class AsyncEngineService:
     JSONL appends, kept off the executor deliberately so cache-hit
     responses never queue behind solves.
     """
+
+    format = SERVE_FORMAT_V2
 
     def __init__(
         self,
@@ -139,39 +120,27 @@ class AsyncEngineService:
             raise ReproError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
             raise ReproError(f"max_queue must be >= 0, got {max_queue}")
-        # reuse the sync service for cache resolution, stats, and error
-        # shaping — one implementation of the protocol invariants
-        self._sync = EngineService(cache=cache, algorithm=algorithm)
-        self.algorithm = algorithm
-        self.cache = self._sync.cache
-        self.stats = self._sync.stats
+        super().__init__(cache=cache, algorithm=algorithm)
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.workers = workers
-        self._runner = None
-        self._executor = None
-        if workers > 1:
-            from repro.runtime.batch import BatchRunner
-
-            self._runner = BatchRunner(workers=workers)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(max_inflight, 32),
-                thread_name_prefix="repro-serve",
-            )
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._executor = self._new_executor()
+        self._inflight: dict[str, asyncio.Future[dict[str, Any]]] = {}
         self._running = 0
         self._queued = 0
         self._gate = asyncio.Semaphore(max_inflight)
 
+    def _new_executor(self) -> Executor:
+        if self.workers > 1:
+            return ProcessPoolExecutor(max_workers=self.workers)
+        return ThreadPoolExecutor(
+            max_workers=min(self.max_inflight, 32),
+            thread_name_prefix="repro-serve",
+        )
+
     def close(self) -> None:
-        """Tear down the worker pool/executor (idempotent)."""
-        if self._runner is not None:
-            self._runner.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        """Shut the executor down, dropping queued solves (idempotent)."""
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -180,74 +149,26 @@ class AsyncEngineService:
     async def handle_line(self, line: str) -> str:
         """One JSONL request line in, exactly one JSONL response line out.
 
-        The same protocol-boundary guarantees as the sync
-        :meth:`~repro.engine.service.EngineService.handle_line`: any
-        junk input yields a single parseable JSON reply with a boolean
-        ``ok`` and counts exactly one request.
+        The same protocol-boundary guarantees as the stdin tier's
+        :meth:`~repro.engine.service.EngineService.handle_line`.
         """
-        try:
-            request = json.loads(line)
-        except Exception as exc:  # noqa: BLE001 — see the sync twin
-            self.stats.requests += 1
-            self.stats.errors += 1
-            return json.dumps(
-                self._error(None, f"malformed request line: {exc}")
-            )
-        if not isinstance(request, dict):
-            self.stats.requests += 1
-            self.stats.errors += 1
-            return json.dumps(
-                self._error(None, "request must be a JSON object")
-            )
-        try:
-            return json.dumps(await self.handle_request(request))
-        except Exception as exc:  # noqa: BLE001
-            self.stats.errors += 1
-            return json.dumps(
-                self._error(None, f"unserialisable response: {type(exc).__name__}")
-            )
+        request = self._decode(line)
+        if isinstance(request, str):
+            return request
+        return self._encode(await self.handle_request(request))
 
     async def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Dispatch one decoded request, timing it into the stats surface."""
+        """Answer one decoded request, timing it into the stats surface."""
         self.stats.requests += 1
         started = perf_counter()
         try:
-            return await self._handle_op(request)
-        except ReproError as exc:
-            self.stats.errors += 1
-            return self._error(request.get("id"), str(exc))
+            reply = self._control(request)
+            return reply if reply is not None else await self._solve(request)
         except Exception as exc:  # noqa: BLE001 — the loop must survive
-            # any bad request; the typed message keeps defects visible
-            self.stats.errors += 1
-            return self._error(
-                request.get("id"), f"{type(exc).__name__}: {exc}"
-            )
+            # any bad request
+            return self._refuse(request, exc)
         finally:
             self.stats.observe_latency(perf_counter() - started)
-
-    async def _handle_op(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request.get("op", "solve")
-        request_id = request.get("id")
-        if op == "ping":
-            return {
-                "format": SERVE_FORMAT_V2,
-                "id": request_id,
-                "op": "ping",
-                "ok": True,
-            }
-        if op == "stats":
-            return {
-                "format": SERVE_FORMAT_V2,
-                "id": request_id,
-                "op": "stats",
-                "ok": True,
-                "stats": self.stats.to_dict(),
-                "server": self.gauges(),
-            }
-        if op != "solve":
-            self.stats.errors += 1
-            return self._error(request_id, f"unknown op {op!r}")
-        return await self._handle_solve(request)
 
     def gauges(self) -> dict[str, Any]:
         """Live serving gauges (momentary, unlike the stats counters)."""
@@ -260,137 +181,72 @@ class AsyncEngineService:
             "workers": self.workers,
         }
 
-    def _error(self, request_id: Any, message: str) -> dict[str, Any]:
-        response = self._sync._error_response(request_id, message)
-        response["format"] = SERVE_FORMAT_V2
-        return response
+    def _stats_reply(self, request_id: Any) -> dict[str, Any]:
+        return dict(super()._stats_reply(request_id), server=self.gauges())
 
-    async def _handle_solve(self, request: dict[str, Any]) -> dict[str, Any]:
-        request_id = request.get("id")
-        payload, algorithm, portfolio_k, cache_algorithm = parse_solve_request(
-            request, self.algorithm
-        )
-        key = task_key(payload, f"serve/{cache_algorithm}")
+    async def _solve(self, request: dict[str, Any]) -> dict[str, Any]:
+        job = self._parse(request)
+        cached = self._cached(job.key)
+        if cached is not None:
+            return self._reply(cached, request, coalesced=False)
 
-        if key in self.cache:
-            record = dict(self.cache.record(key))
-            if record.get("kind") != "serve_result":
-                raise CacheCollisionError(
-                    f"cache key {key[:16]}... holds a non-serve record "
-                    f"(kind={record.get('kind')!r}); the serve cache "
-                    "directory is poisoned or shared with another tool"
-                )
-            self.stats.cached += 1
-            record.update(cached=True, wall_time_s=0.0)
-            return self._shape(record, request, request_id, coalesced=False)
-
-        leader_future = self._inflight.get(key)
-        if leader_future is not None:
+        leader = self._inflight.get(job.key)
+        if leader is not None:
             # coalesce: ride the in-flight solve instead of queueing a
             # duplicate; followers bypass admission control (they cost
             # no solver capacity) and each one is counted
             self.stats.coalesced += 1
-            record = await asyncio.shield(leader_future)
-            return self._shape(record, request, request_id, coalesced=True)
+            return self._reply(await asyncio.shield(leader), request, coalesced=True)
 
         if self._running + self._queued >= self.max_inflight + self.max_queue:
             self.stats.rejected += 1
-            response = self._error(request_id, "overloaded")
-            response["detail"] = (
+            reply = self._error(request.get("id"), "overloaded")
+            reply["detail"] = (
                 f"{self._running} solves in flight and {self._queued} queued "
                 f"(max_inflight={self.max_inflight}, max_queue={self.max_queue}); "
                 "retry later"
             )
-            return response
+            return reply
 
-        loop = asyncio.get_running_loop()
-        leader_future = loop.create_future()
-        self._inflight[key] = leader_future
+        leader = asyncio.get_running_loop().create_future()
+        self._inflight[job.key] = leader
         self._queued += 1
         try:
             async with self._gate:
                 self._queued -= 1
                 self._running += 1
                 try:
-                    record = await self._dispatch(payload, algorithm, portfolio_k, key)
+                    record = await self._run(job)
                 finally:
                     self._running -= 1
         except BaseException as exc:
-            if not leader_future.done():
-                leader_future.set_exception(exc)
+            if not leader.done():
+                leader.set_exception(exc)
                 # consumed by any follower; nobody awaiting is also fine
-                leader_future.exception()
+                leader.exception()
             raise
         finally:
-            self._inflight.pop(key, None)
+            self._inflight.pop(job.key, None)
 
-        if record.get("ok"):
-            self.stats.solved += 1
-            self.cache.put(key, dict(record, id=None, wall_time_s=0.0))
-        else:
-            self.stats.errors += 1
-        if not leader_future.done():
-            leader_future.set_result(record)
-        return self._shape(record, request, request_id, coalesced=False)
+        self._count(job.key, record)
+        if not leader.done():
+            leader.set_result(record)
+        return self._reply(record, request, coalesced=False)
 
-    async def _dispatch(
-        self,
-        payload: dict[str, Any],
-        algorithm: str,
-        portfolio_k: int | None,
-        key: str,
-    ) -> dict[str, Any]:
-        """Run one solve off-loop and await its record."""
-        loop = asyncio.get_running_loop()
-        pool = self._runner.worker_pool() if self._runner is not None else None
-        if pool is None:
-            return await loop.run_in_executor(
-                self._executor, _pool_solve, payload, algorithm, portfolio_k, key
+    async def _run(self, job: SolveJob) -> dict[str, Any]:
+        """One fresh solve on the executor; a dead worker is a typed error."""
+        executor = self._executor
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                executor, build_solve_record, *job
             )
-        future: asyncio.Future = loop.create_future()
-
-        def _resolve(record: dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_result(record)
-            )
-
-        def _fail(exc: BaseException) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_exception(exc)
-            )
-
-        pool.apply_async(
-            _pool_solve,
-            (payload, algorithm, portfolio_k, key),
-            callback=_resolve,
-            error_callback=_fail,
-        )
-        return await future
-
-    def _shape(
-        self,
-        record: dict[str, Any],
-        request: dict[str, Any],
-        request_id: Any,
-        coalesced: bool,
-    ) -> dict[str, Any]:
-        """One cache/solve record into one per-requester v2 response."""
-        if not record.get("ok"):
-            response = self._error(request_id, str(record.get("error")))
-            response["coalesced"] = coalesced
-            return response
-        response = dict(record)
-        response["format"] = SERVE_FORMAT_V2
-        response["id"] = request_id
-        response["coalesced"] = coalesced
-        if request.get("explain"):
-            # explain derives from the instance alone (no solve), so
-            # cache hits and coalesced followers still answer it
-            response["explain"] = explain_dispatch(
-                instance_from_dict(request["instance"]),
-                request.get("algorithm") or self.algorithm,
-            ).to_dict()
-        return response
+        except BrokenProcessPool as exc:
+            # every request on the broken pool lands here; the first
+            # one replaces it
+            if executor is self._executor:
+                executor.shutdown(wait=False)
+                self._executor = self._new_executor()
+            return failed_record(exc)
 
 
 # ---------------------------------------------------------------------- #
@@ -463,19 +319,8 @@ async def serve_async(
                 except ValueError:
                     # line over LINE_LIMIT: answer once, drop the client
                     # (the rest of its stream has lost line framing)
-                    writer.write(
-                        (
-                            json.dumps(
-                                {
-                                    "format": SERVE_FORMAT_V2,
-                                    "id": None,
-                                    "ok": False,
-                                    "error": f"request line over {LINE_LIMIT} bytes",
-                                }
-                            )
-                            + "\n"
-                        ).encode("utf-8")
-                    )
+                    error = service._error(None, f"request line over {LINE_LIMIT} bytes")
+                    writer.write((json.dumps(error) + "\n").encode("utf-8"))
                     await writer.drain()
                     break
                 if not raw:

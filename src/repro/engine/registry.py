@@ -16,12 +16,13 @@ everywhere) and the module-level :data:`REGISTRY` is pre-populated with
 the paper's algorithm family; :data:`ALGORITHMS` is the same object under
 its historical name.
 
-Note for multiprocessing users: worker processes re-import this module,
-so plugins registered at runtime in the parent are visible to
-:class:`~repro.runtime.batch.BatchRunner` workers only if registration
-happens at import time of some module the worker also imports.  The
-in-process paths (``solve``, the portfolio, ``repro serve`` with one
-worker) have no such restriction.
+Note for multiprocessing users: worker processes (``repro batch
+--workers N``, ``repro serve --port P --workers N``) see a plugin
+registered at run time only when they are forked after the
+registration; under the ``spawn`` or ``forkserver`` start methods they
+re-import this module, so register at import time of a module the
+workers also import.  The in-process paths (``solve``, the portfolio,
+``repro serve`` with one worker) have no such restriction.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
-"""The persistent serving layer: ``repro serve``.
+"""The serve request protocol and its stdin tier: ``repro serve``.
 
-A long-lived process that accepts JSONL requests — one JSON object per
-line on stdin — and answers them on stdout from the engine (TCP serving
-is the concurrent tier in :mod:`repro.engine.aserve`).  Instances are
-canonicalized and content-hashed (:func:`repro.runtime.cache.task_key`),
-so a repeated identical query is answered from the cache without
-touching a solver; with a
-:class:`~repro.runtime.cache.ShardedResultCache` directory the cache
-survives restarts and loads lazily per key prefix, keeping startup O(1)
-regardless of history size.
+:class:`ServeProtocol` is the one implementation of the request
+protocol, and both serving tiers extend it: :class:`EngineService`
+answers JSONL lines from stdin on stdout and solves inline, and
+:class:`repro.engine.aserve.AsyncEngineService` answers TCP connections
+and solves on an executor.  Instances are canonicalized and
+content-hashed (:func:`repro.runtime.cache.task_key`), so a repeated
+identical query is answered from the cache without touching a solver;
+with a :class:`~repro.runtime.cache.ShardedResultCache` directory the
+cache survives restarts and loads lazily per key prefix, keeping
+startup O(1) regardless of history size.
 
 Request protocol (``repro/serve/v1``), one JSON object per line::
 
@@ -19,10 +20,12 @@ Request protocol (``repro/serve/v1``), one JSON object per line::
     {"op": "stats"}
 
 ``instance`` is the canonical JSON form of
-:func:`repro.io.instance_to_dict`.  Responses echo ``id`` and carry
-``ok``, the task ``key``, the resolved ``chosen`` algorithm, the exact
-``makespan`` (``"num/den"``), the ``assignment``, and ``cached``.
-Errors never kill the loop: they come back as ``ok=false`` responses.
+:func:`repro.io.instance_to_dict`; ``portfolio``, when present, is a
+JSON integer >= 1.  Responses echo ``id`` and carry ``ok``, the task
+``key``, the resolved ``chosen`` algorithm, the exact ``makespan``
+(``"num/den"``), the ``assignment``, and ``cached``.  Every request ends
+in exactly one reply: errors come back as ``ok=false`` replies with a
+message and never kill the loop.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, NamedTuple, TextIO
 
 from repro.engine.dispatch import auto_choice, explain_dispatch, solve
 from repro.engine.portfolio import portfolio_solve
@@ -46,9 +49,12 @@ __all__ = [
     "SERVE_FORMAT",
     "LatencyReservoir",
     "ServiceStats",
+    "SolveJob",
+    "ServeProtocol",
     "EngineService",
     "parse_solve_request",
     "build_solve_record",
+    "failed_record",
 ]
 
 SERVE_FORMAT = "repro/serve/v1"
@@ -163,11 +169,8 @@ def parse_solve_request(
 ) -> tuple[dict[str, Any], str, int | None, str]:
     """Validate one solve request into ``(payload, algorithm, k, cache_algorithm)``.
 
-    Shared by the sync and async services so both reject malformed
-    requests identically.  Raises :exc:`~repro.exceptions.ReproError`
-    for protocol-level problems; a non-numeric ``portfolio`` raises the
-    underlying ``ValueError``/``TypeError`` (callers shape it into a
-    typed error response).
+    Raises :exc:`~repro.exceptions.ReproError` for every malformed
+    field, so both tiers refuse bad requests with the same message.
     """
     payload = request.get("instance")
     if not isinstance(payload, dict):
@@ -179,10 +182,18 @@ def parse_solve_request(
         )
     portfolio_k = request.get("portfolio")
     if portfolio_k is not None:
-        portfolio_k = int(portfolio_k)
-        if portfolio_k < 1:
+        # bool is an int subclass, and int() would also accept 2.9 or
+        # "3": only a JSON integer names a portfolio size
+        if (
+            isinstance(portfolio_k, bool)
+            or not isinstance(portfolio_k, int)
+            or portfolio_k < 1
+        ):
+            # the "ValueError:" prefix keeps the error class these
+            # replies have always named
             raise ReproError(
-                f"portfolio size must be >= 1, got {portfolio_k}"
+                "ValueError: 'portfolio' must be a JSON integer >= 1, "
+                f"got {json.dumps(portfolio_k)}"
             )
         if request.get("algorithm") not in (None, "auto"):
             # mirror the CLI: racing a fixed candidate list cannot
@@ -210,56 +221,86 @@ def _float_or_none(value: Fraction) -> float | None:
         return None
 
 
+def failed_record(exc: BaseException) -> dict[str, Any]:
+    """The ``ok=false`` record of a solve that raised ``exc``.
+
+    A :exc:`~repro.exceptions.ReproError` keeps its bare message; any
+    other exception is prefixed with its type, so a defect stays
+    visible to the client and to the stats.
+    """
+    if isinstance(exc, ReproError):
+        return {"ok": False, "error": str(exc)}
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
+class SolveJob(NamedTuple):
+    """One parsed solve request: the arguments of :func:`build_solve_record`."""
+
+    payload: dict[str, Any]
+    algorithm: str
+    portfolio_k: int | None
+    key: str
+
+
 def build_solve_record(
     payload: dict[str, Any],
     algorithm: str,
     portfolio_k: int | None,
     key: str,
 ) -> dict[str, Any]:
-    """Solve one validated payload and build its cacheable serve record.
+    """Solve one validated payload into its cacheable serve record.
 
-    Module-level (and with the response ``id`` left ``None``) so worker
-    processes can run it through pickle — the async tier hands solves to
-    :class:`~repro.runtime.batch.BatchRunner`'s pool via
-    :func:`repro.engine.aserve._pool_solve`.  Raises on solver-level
-    failure (unknown algorithm, infeasible instance, ...); callers shape
-    errors into responses.
+    Never raises: a failed solve (unknown algorithm, infeasible or
+    malformed instance, ...) comes back as a :func:`failed_record`.
+    Module-level, with the reply ``id`` left ``None``, so the TCP tier
+    can run it in a worker process.
     """
-    instance = instance_from_dict(payload)
-    start = perf_counter()
-    if portfolio_k is not None:
-        result = portfolio_solve(instance, k=portfolio_k)
-        chosen, schedule = result.chosen, result.schedule
-    else:
-        chosen = auto_choice(instance) if algorithm == "auto" else algorithm
-        schedule = solve(instance, algorithm=chosen)
-    wall = perf_counter() - start
-    cache_algorithm = (
-        f"portfolio:{portfolio_k}" if portfolio_k is not None else algorithm
-    )
-    return {
-        "format": SERVE_FORMAT,
-        "kind": "serve_result",
-        "id": None,
-        "ok": True,
-        "key": key,
-        "algorithm": cache_algorithm,
-        "chosen": chosen,
-        "n": instance.n,
-        "m": instance.m,
-        "edges": instance.graph.edge_count,
-        "makespan": frac_str(schedule.makespan),
-        "makespan_float": _float_or_none(schedule.makespan),
-        "feasible": schedule.is_feasible(),
-        "assignment": list(schedule.assignment),
-        "cached": False,
-        "wall_time_s": wall,
-        "error": None,
-    }
+    try:
+        instance = instance_from_dict(payload)
+        start = perf_counter()
+        if portfolio_k is not None:
+            result = portfolio_solve(instance, k=portfolio_k)
+            chosen, schedule = result.chosen, result.schedule
+        else:
+            chosen = auto_choice(instance) if algorithm == "auto" else algorithm
+            schedule = solve(instance, algorithm=chosen)
+        wall = perf_counter() - start
+        cache_algorithm = (
+            f"portfolio:{portfolio_k}" if portfolio_k is not None else algorithm
+        )
+        return {
+            "format": SERVE_FORMAT,
+            "kind": "serve_result",
+            "id": None,
+            "ok": True,
+            "key": key,
+            "algorithm": cache_algorithm,
+            "chosen": chosen,
+            "n": instance.n,
+            "m": instance.m,
+            "edges": instance.graph.edge_count,
+            "makespan": frac_str(schedule.makespan),
+            "makespan_float": _float_or_none(schedule.makespan),
+            "feasible": schedule.is_feasible(),
+            "assignment": list(schedule.assignment),
+            "cached": False,
+            "wall_time_s": wall,
+            "error": None,
+        }
+    except Exception as exc:  # noqa: BLE001 — malformed payloads raise
+        # KeyError/ValueError, not ReproError; every solve ends in a record
+        return failed_record(exc)
 
 
-class EngineService:
-    """Stateful request handler behind ``repro serve``.
+class ServeProtocol:
+    """The request protocol both serving tiers extend.
+
+    Owns everything about a request except where its solve runs:
+    decoding and encoding lines, the ``ping``/``stats``/unknown-op
+    replies, parsing a solve request into its cache key, the cache
+    check, counting and caching a fresh record, and shaping a record
+    into a reply.  A tier adds ``handle_line``/``handle_request`` and
+    runs :func:`build_solve_record` its own way.
 
     Parameters
     ----------
@@ -277,8 +318,12 @@ class EngineService:
     return the schedule, not just its makespan), so the service keeps
     its own cache namespace — point it at a *serve* cache directory,
     not at a batch results cache.  Only successful solves are cached;
-    errors are re-evaluated per request.
+    errors are re-evaluated per request.  Cache records are v1-shaped
+    whichever tier wrote them, so the tiers can share a directory.
     """
+
+    #: the protocol version every reply names
+    format = SERVE_FORMAT
 
     def __init__(
         self,
@@ -298,97 +343,66 @@ class EngineService:
         self.algorithm = algorithm
         self.stats = ServiceStats()
 
-    # ------------------------------------------------------------------ #
-    # request handling
-    # ------------------------------------------------------------------ #
+    def _decode(self, line: str) -> dict[str, Any] | str:
+        """The request object on ``line``, or the reply line refusing it.
 
-    def handle_line(self, line: str) -> str:
-        """One JSONL request line in, exactly one JSONL response line out.
-
-        The protocol boundary: whatever junk arrives — non-JSON bytes,
-        deeply nested JSON (``RecursionError`` from the parser), huge
-        integer literals (``ValueError`` from the int-conversion limit),
-        wrong-typed fields — the reply is a single parseable JSON line
-        with a boolean ``ok``, and every call counts exactly one
-        request.  The fuzz suite pins this down.
+        A refused line counts one request and one error.
         """
         try:
             request = json.loads(line)
         except Exception as exc:  # noqa: BLE001 — JSONDecodeError is only
-            # the common case; see the docstring for the exotic ones
-            self.stats.requests += 1
-            self.stats.errors += 1
-            return json.dumps(
-                self._error_response(None, f"malformed request line: {exc}")
-            )
-        if not isinstance(request, dict):
-            self.stats.requests += 1
-            self.stats.errors += 1
-            return json.dumps(
-                self._error_response(None, "request must be a JSON object")
-            )
-        try:
-            return json.dumps(self.handle_request(request))
-        except Exception as exc:  # noqa: BLE001 — a response that cannot
-            # be serialised must still come back as one parseable line
-            self.stats.errors += 1
-            return json.dumps(
-                self._error_response(
-                    None, f"unserialisable response: {type(exc).__name__}"
-                )
-            )
-
-    def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Dispatch one decoded request, timing it into the stats surface."""
+            # the common case: deep nesting raises RecursionError and a
+            # huge integer literal ValueError
+            message = f"malformed request line: {exc}"
+        else:
+            if isinstance(request, dict):
+                return request
+            message = "request must be a JSON object"
         self.stats.requests += 1
-        started = perf_counter()
-        try:
-            return self._handle_op(request)
-        finally:
-            self.stats.observe_latency(perf_counter() - started)
+        self.stats.errors += 1
+        return json.dumps(self._error(None, message))
 
-    def _handle_op(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request.get("op", "solve")
-        request_id = request.get("id")
-        if op == "ping":
-            return {"format": SERVE_FORMAT, "id": request_id, "op": "ping", "ok": True}
-        if op == "stats":
-            return {
-                "format": SERVE_FORMAT,
-                "id": request_id,
-                "op": "stats",
-                "ok": True,
-                "stats": self.stats.to_dict(),
-            }
-        if op != "solve":
-            self.stats.errors += 1
-            return self._error_response(request_id, f"unknown op {op!r}")
+    def _encode(self, reply: dict[str, Any]) -> str:
+        """One reply as one JSON line, or an error line if it cannot be."""
         try:
-            return self._handle_solve(request)
-        except ReproError as exc:
+            return json.dumps(reply)
+        except Exception as exc:  # noqa: BLE001 — the client still gets
+            # one parseable line
             self.stats.errors += 1
-            return self._error_response(request_id, str(exc))
-        except Exception as exc:  # noqa: BLE001 — a persistent server
-            # must survive *any* bad request (malformed payloads raise
-            # KeyError/ValueError, not ReproError); the typed message
-            # keeps the defect visible to the client and to stats
-            self.stats.errors += 1
-            return self._error_response(
-                request_id, f"{type(exc).__name__}: {exc}"
+            return json.dumps(
+                self._error(None, f"unserialisable response: {type(exc).__name__}")
             )
 
-    def _error_response(
-        self, request_id: Any, message: str
-    ) -> dict[str, Any]:
+    def _error(self, request_id: Any, message: str) -> dict[str, Any]:
+        return {"format": self.format, "id": request_id, "ok": False, "error": message}
+
+    def _refuse(self, request: dict[str, Any], exc: Exception) -> dict[str, Any]:
+        """The error reply to a request whose handling raised ``exc``."""
+        self.stats.errors += 1
+        return self._reply(failed_record(exc), request)
+
+    def _control(self, request: dict[str, Any]) -> dict[str, Any] | None:
+        """The reply to a control op, or ``None`` when ``request`` is a solve."""
+        op = request.get("op", "solve")
+        if op == "solve":
+            return None
+        if op == "ping":
+            return {"format": self.format, "id": request.get("id"), "op": "ping", "ok": True}
+        if op == "stats":
+            return self._stats_reply(request.get("id"))
+        self.stats.errors += 1
+        return self._error(request.get("id"), f"unknown op {op!r}")
+
+    def _stats_reply(self, request_id: Any) -> dict[str, Any]:
         return {
-            "format": SERVE_FORMAT,
+            "format": self.format,
             "id": request_id,
-            "ok": False,
-            "error": message,
+            "op": "stats",
+            "ok": True,
+            "stats": self.stats.to_dict(),
         }
 
-    def _handle_solve(self, request: dict[str, Any]) -> dict[str, Any]:
-        request_id = request.get("id")
+    def _parse(self, request: dict[str, Any]) -> SolveJob:
         payload, algorithm, portfolio_k, cache_algorithm = parse_solve_request(
             request, self.algorithm
         )
@@ -396,41 +410,88 @@ class EngineService:
         # task keys, so pointing --cache-dir at a batch cache can never
         # be answered with (or collide against) batch-shaped records
         key = task_key(payload, f"serve/{cache_algorithm}")
+        return SolveJob(payload, algorithm, portfolio_k, key)
 
-        if key in self.cache:
-            record = dict(self.cache.record(key))
-            if record.get("kind") != "serve_result":
-                # foreign record under a serve key: a poisoned cache —
-                # refuse before wasting a solve whose put() could only
-                # collide with the bad record anyway
-                raise CacheCollisionError(
-                    f"cache key {key[:16]}... holds a non-serve record "
-                    f"(kind={record.get('kind')!r}); the serve cache "
-                    "directory is poisoned or shared with another tool"
-                )
-            self.stats.cached += 1
-            record.update(id=request_id, cached=True, wall_time_s=0.0)
-            if request.get("explain"):
-                # explain derives from the instance alone (no solve),
-                # so cache hits still answer it
-                record["explain"] = explain_dispatch(
-                    instance_from_dict(payload), algorithm
-                ).to_dict()
-            return record
-
-        record = build_solve_record(payload, algorithm, portfolio_k, key)
-        self.stats.solved += 1
-        self.cache.put(key, dict(record, id=None, wall_time_s=0.0))
-        record["id"] = request_id
-        if request.get("explain"):
-            record["explain"] = explain_dispatch(
-                instance_from_dict(payload), algorithm
-            ).to_dict()
+    def _cached(self, key: str) -> dict[str, Any] | None:
+        """The cached record under ``key``, marked as a hit; ``None`` on a miss."""
+        if key not in self.cache:
+            return None
+        record = dict(self.cache.record(key))
+        if record.get("kind") != "serve_result":
+            # foreign record under a serve key: a poisoned cache —
+            # refuse before wasting a solve whose put() could only
+            # collide with the bad record anyway
+            raise CacheCollisionError(
+                f"cache key {key[:16]}... holds a non-serve record "
+                f"(kind={record.get('kind')!r}); the serve cache "
+                "directory is poisoned or shared with another tool"
+            )
+        self.stats.cached += 1
+        record.update(cached=True, wall_time_s=0.0)
         return record
 
-    # ------------------------------------------------------------------ #
-    # serving loops
-    # ------------------------------------------------------------------ #
+    def _count(self, key: str, record: dict[str, Any]) -> None:
+        """Count one fresh record, caching it when it is a result."""
+        if record["ok"]:
+            self.stats.solved += 1
+            self.cache.put(key, dict(record, id=None, wall_time_s=0.0))
+        else:
+            self.stats.errors += 1
+
+    def _reply(
+        self, record: dict[str, Any], request: dict[str, Any], **extra: Any
+    ) -> dict[str, Any]:
+        """One record shaped into one requester's reply; ``extra`` comes last."""
+        if not record["ok"]:
+            return dict(self._error(request.get("id"), record["error"]), **extra)
+        reply = dict(record, format=self.format, id=request.get("id"), **extra)
+        if request.get("explain"):
+            # explain derives from the instance alone (no solve), so
+            # cache hits and coalesced followers still answer it
+            reply["explain"] = explain_dispatch(
+                instance_from_dict(request["instance"]),
+                request.get("algorithm") or self.algorithm,
+            ).to_dict()
+        return reply
+
+
+class EngineService(ServeProtocol):
+    """The stdin tier behind ``repro serve``: one request at a time, solved inline."""
+
+    def handle_line(self, line: str) -> str:
+        """One JSONL request line in, exactly one JSONL response line out.
+
+        The protocol boundary: whatever junk arrives — non-JSON bytes,
+        deeply nested JSON, huge integer literals, wrong-typed fields —
+        the reply is a single parseable JSON line with a boolean ``ok``,
+        and every call counts exactly one request.  The fuzz suite pins
+        this down.
+        """
+        request = self._decode(line)
+        if isinstance(request, str):
+            return request
+        return self._encode(self.handle_request(request))
+
+    def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Answer one decoded request, timing it into the stats surface."""
+        self.stats.requests += 1
+        started = perf_counter()
+        try:
+            reply = self._control(request)
+            return reply if reply is not None else self._solve(request)
+        except Exception as exc:  # noqa: BLE001 — a persistent server
+            # must survive *any* bad request
+            return self._refuse(request, exc)
+        finally:
+            self.stats.observe_latency(perf_counter() - started)
+
+    def _solve(self, request: dict[str, Any]) -> dict[str, Any]:
+        job = self._parse(request)
+        record = self._cached(job.key)
+        if record is None:
+            record = build_solve_record(*job)
+            self._count(job.key, record)
+        return self._reply(record, request)
 
     def serve_stream(
         self, source: Iterable[str], sink: TextIO
@@ -447,4 +508,3 @@ class EngineService:
             sink.write(self.handle_line(line) + "\n")
             sink.flush()
         return self.stats
-

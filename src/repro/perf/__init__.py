@@ -15,7 +15,7 @@ allows" goal needs:
 * :mod:`repro.perf.scenarios` — the ``repro perf`` sweeps measuring the
   optimized hot paths against what they replace (the numpy tiers
   against the integer references, the parallel oracle against the
-  sequential one, a persistent pool against a pool per run).
+  sequential one).
 
 See ``docs/PERFORMANCE.md`` for the methodology and the measured
 before/after tables.

@@ -2,13 +2,12 @@
 
 Each scenario builds a deterministic workload sweep, times an optimized
 path against the reference it replaces (the integer kernels against
-their numpy tier, the sequential oracle against the parallel one, a
-pool per run against a persistent pool) under the warmup/repeat/median
-policy of :mod:`repro.perf.timer`, asserts result equivalence along the
-way, and returns the before/after table as a schema-valid
-:class:`~repro.perf.record.BenchRecord` (experiment ids
-``PERF_<target>``).  ``docs/PERFORMANCE.md`` reproduces these tables;
-CI runs the ``smoke`` shapes.
+their numpy tier, the sequential oracle against the parallel one) under
+the warmup/repeat/median policy of :mod:`repro.perf.timer`, asserts
+result equivalence along the way, and returns the before/after table
+as a schema-valid :class:`~repro.perf.record.BenchRecord` (experiment
+ids ``PERF_<target>``).  ``docs/PERFORMANCE.md`` reproduces these
+tables; CI runs the ``smoke`` shapes.
 """
 
 from __future__ import annotations
@@ -207,62 +206,6 @@ def _scenario_oracle_parallel(
     )
 
 
-def _scenario_batch_fanout(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome:
-    """BatchRunner fan-out: persistent worker pool vs pool-per-run."""
-    from repro.machines.profiles import power_law_speeds
-    from repro.random_graphs.gilbert import gnnp
-    from repro.runtime.batch import BatchRunner
-    from repro.scheduling.instance import unit_uniform_instance
-
-    # many small batches: the benchmark-harness shape where the pool
-    # fork, not the solves, dominates a run
-    runs, tasks_per_run, workers = (3, 4, 2) if smoke else (8, 4, 2)
-    task_sets = [
-        [
-            (
-                f"run{s}-task{i}",
-                unit_uniform_instance(
-                    gnnp(4, 0.2, seed=100 * s + i), power_law_speeds(3)
-                ),
-                "sqrt_approx",
-            )
-            for i in range(tasks_per_run)
-        ]
-        for s in range(runs)
-    ]
-
-    def fan_out(persistent: bool) -> list[list[Any]]:
-        # a fresh runner per timed call: fresh cache, so every run pays
-        # real solves; the only difference between the two modes is the
-        # pool lifecycle under measurement
-        with BatchRunner(workers=workers, persistent_pool=persistent) as runner:
-            return [
-                [(r.name, r.makespan) for r in runner.run_to_list(task_set)]
-                for task_set in task_sets
-            ]
-
-    before = measure(fan_out, False, repeat=repeat, warmup=warmup, label="pool-per-run")
-    after = measure(fan_out, True, repeat=repeat, warmup=warmup, label="persistent")
-    if before.value != after.value:
-        raise InvalidInstanceError("batch fan-out equivalence broke across pool modes")
-    case = f"{runs} runs x {tasks_per_run} tasks, workers={workers}"
-    row, phases = _speedup_row(
-        case, before, after, {"runs": runs, "tasks": tasks_per_run, "workers": workers}
-    )
-    return ScenarioOutcome(
-        record=BenchRecord.build(
-            "PERF_batch_fanout",
-            _COLUMNS,
-            [row],
-            phases=phases,
-            notes="persistent worker pool reused across BatchRunner.run calls "
-            "vs a pool forked per run; identical result streams; medians of "
-            f"repeat={repeat} after warmup={warmup}",
-        ),
-        profile_fn=lambda: fan_out(True),
-    )
-
-
 def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome:
     """Numpy tiers vs the integer references of the same hot loops.
 
@@ -418,7 +361,6 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
 
 SCENARIOS: dict[str, Callable[[int, int, bool], ScenarioOutcome]] = {
     "oracle-parallel": _scenario_oracle_parallel,
-    "batch_fanout": _scenario_batch_fanout,
     "fastpath": _scenario_fastpath,
 }
 

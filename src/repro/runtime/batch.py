@@ -252,7 +252,12 @@ class BatchRunner:
         (``"auto"`` applies the registry's dispatch policy per instance).
     workers:
         Process count.  ``1`` (default) solves in-process; ``>1`` fans
-        tasks out over a :class:`multiprocessing.Pool`.
+        tasks out over a :class:`multiprocessing.Pool` that lives
+        across :meth:`run` calls — forking costs tens of milliseconds,
+        which would dominate sweeps of many small batches.  Workers
+        hold no task state between chunks, so results are unaffected.
+        The pool is torn down by :meth:`close`, ``with`` exit, or
+        garbage collection.
     chunk_jobs:
         How many submissions are drawn from the input iterable per
         scheduling round; bounds driver memory on huge streams.
@@ -262,16 +267,6 @@ class BatchRunner:
         :class:`ResultCache`, a lazily-loaded
         :class:`~repro.runtime.cache.ShardedResultCache`, or anything
         with their ``in``/``record``/``put`` protocol.
-    persistent_pool:
-        Keep the worker pool alive between :meth:`run` calls (default).
-        Forking a fresh pool costs tens of milliseconds per run, which
-        dominates sweeps of many small batches (the benchmark harness's
-        shape); the persistent pool pays that once.  Workers hold no
-        task state between chunks, so results are unaffected — the
-        equivalence tests pin this down.  ``False`` restores the old
-        pool-per-run behaviour (and is what ``repro perf --target
-        batch_fanout`` measures against).  Either way the pool is torn
-        down by :meth:`close`, ``with`` exit, or garbage collection.
     certify:
         Audit every produced schedule through :mod:`repro.certify` and
         store the certificate on the result record (per-task
@@ -294,7 +289,6 @@ class BatchRunner:
         workers: int = 1,
         chunk_jobs: int = 256,
         cache: ResultCache | str | Path | None = None,
-        persistent_pool: bool = True,
         certify: bool = False,
     ) -> None:
         if workers < 1:
@@ -304,7 +298,6 @@ class BatchRunner:
         self.algorithm = algorithm
         self.workers = workers
         self.chunk_jobs = chunk_jobs
-        self.persistent_pool = persistent_pool
         self.certify = certify
         if cache is None or isinstance(cache, (str, Path)):
             self.cache: Any = ResultCache(cache)
@@ -321,34 +314,17 @@ class BatchRunner:
     def _acquire_pool(self) -> multiprocessing.pool.Pool | None:
         """The pool for one :meth:`run` (``None`` when in-process).
 
-        With ``persistent_pool`` the pool is created lazily on first use
-        and reused by every subsequent run; a :mod:`weakref` finalizer
-        guarantees the worker processes die with the runner even when
-        :meth:`close` is never called.
+        Created lazily on first use and reused by every later run; a
+        :mod:`weakref` finalizer guarantees the worker processes die
+        with the runner even when :meth:`close` is never called.
         """
         if self.workers == 1:
             return None
-        if not self.persistent_pool:
-            return multiprocessing.Pool(self.workers)
         if self._pool is None:
             pool = multiprocessing.Pool(self.workers)
             self._pool = pool
             self._pool_finalizer = weakref.finalize(self, _shutdown_pool, pool)
         return self._pool
-
-    def worker_pool(self) -> multiprocessing.pool.Pool | None:
-        """The runner's pool, for co-operating engines (``None`` in-process).
-
-        :func:`repro.engine.portfolio.portfolio_solve` races its
-        candidates on this pool so portfolio execution shares the
-        runner's worker lifecycle (persistent across calls, torn down by
-        :meth:`close`) instead of forking its own.  With ``workers=1``
-        or ``persistent_pool=False`` there is no long-lived pool to
-        share and callers fall back to sequential execution.
-        """
-        if self.workers == 1 or not self.persistent_pool:
-            return None
-        return self._acquire_pool()
 
     def close(self) -> None:
         """Terminate the persistent worker pool (idempotent).
@@ -418,24 +394,18 @@ class BatchRunner:
 
         Notes
         -----
-        Resets :attr:`stats`.  With ``persistent_pool`` (default) the
-        worker pool survives the call and is reused by the next run;
-        call :meth:`close` (or use the runner as a context manager) to
-        tear it down deterministically.
+        Resets :attr:`stats`.  The worker pool survives the call and is
+        reused by the next run; call :meth:`close` (or use the runner as
+        a context manager) to tear it down deterministically.
         """
         self.stats = BatchStats()
         iterator = enumerate(items)
         pool = self._acquire_pool()
-        owned = pool is not None and not self.persistent_pool
-        try:
-            while True:
-                chunk = list(islice(iterator, self.chunk_jobs))
-                if not chunk:
-                    break
-                yield from self._run_chunk(chunk, pool)
-        finally:
-            if owned:
-                _shutdown_pool(pool)
+        while True:
+            chunk = list(islice(iterator, self.chunk_jobs))
+            if not chunk:
+                break
+            yield from self._run_chunk(chunk, pool)
 
     def _run_chunk(
         self,

@@ -56,8 +56,8 @@ class AsyncSafetyRule(Rule):
     anchor = "PR 6 (repro.engine.aserve / service)"
     fix_hint = (
         "await asyncio.sleep(...) instead of time.sleep; run blocking "
-        "work through loop.run_in_executor or BatchRunner's "
-        "apply_async bridge (see aserve._dispatch)"
+        "work through loop.run_in_executor (see "
+        "AsyncEngineService._run)"
     )
     scope = ()  # async defs may appear anywhere as the serving tier grows
 
@@ -122,8 +122,8 @@ class AsyncSafetyRule(Rule):
                         ctx,
                         node,
                         "BatchRunner.run(...) is the synchronous fan-out "
-                        "loop; bridge the pool with apply_async callbacks "
-                        "instead (aserve._dispatch)",
+                        "loop; hand each solve to loop.run_in_executor "
+                        "instead (AsyncEngineService._run)",
                     )
 
 
@@ -143,7 +143,7 @@ def _walk_coroutine_body(coro: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
 
     Nested ``async def``s are walked (they run on the same loop); nested
     plain ``def``s are not — in this codebase they are executor targets
-    and ``call_soon_threadsafe`` callbacks that run off-loop by design.
+    and callbacks that run off-loop by design.
     """
     stack: list[ast.AST] = list(coro.body)
     while stack:

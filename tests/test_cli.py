@@ -558,11 +558,12 @@ class TestServe:
         assert codes == [0], stderr.getvalue()
         return responses, stderr.getvalue()
 
-    def test_tcp_default_is_the_async_tier(self):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_tcp_default_is_the_async_tier(self, workers):
         requests = [self._request_line(1), self._request_line(2)]
         responses, err = self._tcp_one_shot(
             ["serve", "--port", "0", "--max-requests", "2",
-             "--max-inflight", "4", "--max-queue", "8"],
+             "--max-inflight", "4", "--max-queue", "8", "--workers", workers],
             requests,
         )
         assert [r["format"] for r in responses] == ["repro/serve/v2"] * 2

@@ -44,7 +44,6 @@ class TestPerfScenarios:
         assert code == 0
         names = sorted(p.name for p in tmp_path.glob("BENCH_PERF_*.json"))
         assert names == [
-            "BENCH_PERF_batch_fanout.json",
             "BENCH_PERF_fastpath.json",
             "BENCH_PERF_oracle_parallel.json",
         ]

@@ -319,13 +319,12 @@ def _fanout_tasks(runs: int, per_run: int):
 
 
 class TestPersistentPool:
-    @pytest.mark.parametrize("persistent", [True, False])
-    def test_results_invariant_under_pool_mode(self, persistent):
+    def test_pool_results_match_in_process_runs(self):
         reference = [
             [(r.name, r.makespan, r.chosen) for r in BatchRunner().run_to_list(ts)]
             for ts in _fanout_tasks(3, 3)
         ]
-        with BatchRunner(workers=2, persistent_pool=persistent) as runner:
+        with BatchRunner(workers=2) as runner:
             streams = [
                 [(r.name, r.makespan, r.chosen) for r in runner.run_to_list(ts)]
                 for ts in _fanout_tasks(3, 3)
