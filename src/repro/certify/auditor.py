@@ -108,7 +108,6 @@ def audit_instance(
     specs: Mapping[str, Any] | None = None,
     algorithms: Iterable[str] | None = None,
     oracle_max_n: int = DEFAULT_ORACLE_MAX_N,
-    oracle_workers: int = 1,
 ) -> list[AuditRow]:
     """Audit every applicable registered algorithm on one instance.
 
@@ -132,10 +131,6 @@ def audit_instance(
         (the brute-force oracle itself) are skipped above the same
         cut-off — they *are* exhaustive searches and would hang the
         sweep.
-    oracle_workers:
-        Search processes for the exact oracle's parallel branch and
-        bound (``repro certify --workers``); the certified optimum is
-        identical for any value, only the proof closes faster.
 
     Returns
     -------
@@ -165,7 +160,7 @@ def audit_instance(
     optimal: Fraction | None = None
     if instance.n <= oracle_max_n:
         try:
-            optimal = certified_optimal(instance, workers=oracle_workers).makespan
+            optimal = certified_optimal(instance).makespan
         except ReproError:
             optimal = None  # infeasible or oracle-inapplicable: skip OPT
         except Exception:  # noqa: BLE001 — a crashing seed heuristic
@@ -401,7 +396,6 @@ def audit_guarantees(
     specs: Mapping[str, Any] | None = None,
     algorithms: Iterable[str] | None = None,
     oracle_max_n: int = DEFAULT_ORACLE_MAX_N,
-    oracle_workers: int = 1,
 ) -> list[AuditRow]:
     """Audit a named instance sweep; rows in suite x registry order.
 
@@ -410,7 +404,7 @@ def audit_guarantees(
     suite:
         ``(name, instance)`` pairs, e.g. from
         :func:`repro.analysis.suites.certification_suite`.
-    specs, algorithms, oracle_max_n, oracle_workers:
+    specs, algorithms, oracle_max_n:
         Forwarded to :func:`audit_instance` per suite entry.
 
     Returns
@@ -428,7 +422,6 @@ def audit_guarantees(
                 specs=specs,
                 algorithms=algorithms,
                 oracle_max_n=oracle_max_n,
-                oracle_workers=oracle_workers,
             )
         )
     return rows

@@ -30,8 +30,8 @@ Commands
     keys, repeats answered from a sharded result cache.
 ``perf``
     Measure the optimized hot paths (the numpy tiers against the integer
-    references, the parallel oracle, BatchRunner fan-out) against what
-    they replace and emit machine-readable ``BENCH_PERF_*`` artifacts;
+    references) against what they replace and emit machine-readable
+    ``BENCH_PERF_*`` artifacts;
     ``--check DIR`` validates existing ``BENCH_*.json`` artifacts
     against the schema instead (the CI gate).
 ``experiment``
@@ -250,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument(
         "--oracle-max-n", type=int, default=14,
         help="largest n ground truth is computed for (exact oracle)",
-    )
-    cert.add_argument(
-        "--workers", type=int, default=1,
-        help="search processes for the exact oracle's parallel branch "
-        "and bound (the certified optimum is identical for any value)",
     )
     cert.add_argument(
         "--algorithms", type=str, default=None,
@@ -677,7 +672,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             instance,
             algorithms=algorithms,
             oracle_max_n=args.oracle_max_n,
-            oracle_workers=args.workers,
         )
     else:
         suite = certification_suite(
@@ -687,7 +681,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             suite,
             algorithms=algorithms,
             oracle_max_n=args.oracle_max_n,
-            oracle_workers=args.workers,
         )
     if args.out:
         write_jsonl((row.to_dict() for row in rows), args.out)

@@ -7,18 +7,17 @@ owns its public function, and at most one numpy tier, kept in
 * ``scheduling.list_scheduling.assign_group_greedy`` —
   ``assign_group_greedy_numpy`` for batches of at least
   :data:`GREEDY_NUMPY_MIN_JOBS` jobs;
-* ``scheduling.bounds.min_cover_time_with_loads`` (the exact oracle's
-  per-node bound, and ``min_cover_time`` on empty machines) —
-  ``min_cover_time_with_loads_numpy`` for at least
-  :data:`COVER_NUMPY_MIN_MACHINES` machines;
 * ``scheduling.dp_unrelated.solve_r2_dp`` (Algorithm 5's Pareto DP) —
   ``r2_dp_layer_numpy`` for layers of at least
   :data:`R2_DP_NUMPY_MIN_STATES` states.
 
 ``graphs.matching.hopcroft_karp`` has no numpy tier: a vectorized BFS
 ran at 0.56–0.93× of the integer kernel on ``G(n, n, d/n)`` up to
-``n = 5 000`` per side and at most 1.45× above that (see
-``docs/PERFORMANCE.md``).
+``n = 5 000`` per side and at most 1.45× above that.  Nor has
+``scheduling.bounds.min_cover_time_with_loads`` (the exact oracle's
+per-node bound): its integer reference runs within 2× of the
+vectorized jump-point search it replaced, even at ``m = 10 000``
+machines (see ``docs/PERFORMANCE.md``).
 
 A numpy tier is taken only above its cutoff, and only when its operands
 fit ``int64`` — checked, never assumed; otherwise it raises
@@ -52,7 +51,6 @@ __all__ = [
     "scaled_speeds",
     "scaled_speeds_cache_stats",
     "GREEDY_NUMPY_MIN_JOBS",
-    "COVER_NUMPY_MIN_MACHINES",
     "R2_DP_NUMPY_MIN_STATES",
 ]
 
@@ -60,7 +58,6 @@ __all__ = [
 #: references (array setup dominates); measured with ``repro perf
 #: --target fastpath``
 GREEDY_NUMPY_MIN_JOBS = 1024
-COVER_NUMPY_MIN_MACHINES = 256
 #: states in an R2 DP layer below which the dict step builds the next
 #: layer faster than the numpy step (the two break even at 64-95 states
 #: on sparse-fptas layers)

@@ -18,9 +18,6 @@ crosses ``2**63`` on purpose).
   ``(key, rank)`` pairs are generated wholesale and ordered by one
   :func:`numpy.lexsort` — no per-job work at all.  Short runs keep
   the integer reference's heap loop.
-* ``min_cover_time_with_loads_numpy`` — the jump-point candidates of
-  :mod:`repro.scheduling.bounds` generated as arrays, each capacity
-  probe one vectorized floor-sum.
 * ``r2_dp_layer_numpy`` — one layer of the Algorithm 5 Pareto DP
   (:func:`repro.scheduling.dp_unrelated.solve_r2_dp`): every
   candidate's ``(bucket, l2, emission index)`` is packed into one
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from typing import Any, Sequence
 
 import numpy as np
@@ -43,7 +39,6 @@ from repro.exceptions import InvalidInstanceError, ReproError
 __all__ = [
     "FastpathUnavailable",
     "assign_group_greedy_numpy",
-    "min_cover_time_with_loads_numpy",
     "r2_dp_layer_numpy",
 ]
 
@@ -252,115 +247,6 @@ def assign_group_greedy_numpy(
             loads[rank] = load + p_j
             result[j] = i
     return result
-
-
-# --------------------------------------------------------------------- #
-# cover-time bounds: vectorized jump-point search
-# --------------------------------------------------------------------- #
-
-
-def _search_jump_points(
-    speeds_scaled: Sequence[int],
-    scale: int,
-    loads: Sequence[int],
-    demand: int,
-    lo: Fraction,
-    hi: Fraction,
-) -> Fraction:
-    """Least jump point ``t`` in ``[lo, hi]`` whose capacity covers ``demand``.
-
-    Candidates are kept as raw ``(num, den)`` integer pairs — never
-    reduced, never turned into :class:`Fraction` inside the loop.  They
-    are totally ordered by the exact big-int key ``(num * K) // den``
-    with ``K > max_den**2``: two distinct values ``a/b != c/d`` with
-    ``b, d <= max_den`` differ by at least ``1 / max_den**2 < 1/K``
-    scaled, so their keys differ, while equal values always map to equal
-    keys — the key is injective and monotone on values, giving an exact
-    sort without any rational arithmetic.  Capacity probes are one
-    vectorized floor-sum each.
-    """
-    m = len(speeds_scaled)
-    s_max = max(speeds_scaled)
-    lo_num, lo_den = lo.numerator, lo.denominator
-    hi_num, hi_den = hi.numerator, hi.denominator
-    d_lo = lo_den * scale
-    d_hi = hi_den * scale
-    max_c = (s_max * hi_num) // d_hi
-    max_num = max(max_c * scale, hi_num, lo_num)
-    if (
-        max_num >= _INT64_SAFE
-        or max(d_lo, d_hi) >= _INT64_SAFE
-        or s_max * max(max_num, 1) >= _INT64_SAFE // max(m, 1)
-        or max(loads) >= _INT64_SAFE
-    ):
-        raise FastpathUnavailable("operands exceed the int64 safety bound")
-    arr = np.asarray(speeds_scaled, dtype=np.int64)
-    loads_arr = np.asarray(loads, dtype=np.int64)
-    # per-machine candidate windows c_lo..c_hi (c counts completed units
-    # on that machine), exactly the integer reference's bracketing
-    c_lo = np.maximum(1, (arr * np.int64(lo_num) + np.int64(d_lo - 1)) // np.int64(d_lo))
-    c_hi = (arr * np.int64(hi_num)) // np.int64(d_hi)
-    counts = np.maximum(c_hi - c_lo + 1, 0)
-    total = int(counts.sum())
-    offsets = np.repeat(c_lo, counts) + (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-    nums = (offsets * np.int64(scale)).tolist()
-    dens = np.repeat(arr, counts).tolist()
-    nums.append(hi_num)
-    dens.append(hi_den)
-    kden = max(s_max, lo_den, hi_den)
-    big_k = kden * kden + 1
-    lo_key = (lo_num * big_k) // lo_den
-    hi_key = (hi_num * big_k) // hi_den
-    items = sorted(
-        (key, a, b)
-        for key, a, b in (((a * big_k) // b, a, b) for a, b in zip(nums, dens))
-        if lo_key <= key <= hi_key
-    )
-    left, right = 0, len(items) - 1
-    _, ans_num, ans_den = items[right]
-    while left <= right:
-        mid = (left + right) // 2
-        _, num, den = items[mid]
-        floors = (arr * np.int64(num)) // np.int64(den * scale)
-        if int(np.maximum(floors - loads_arr, 0).sum()) >= demand:
-            _, ans_num, ans_den = items[mid]
-            right = mid - 1
-        else:
-            left = mid + 1
-    return Fraction(ans_num, ans_den)
-
-
-def min_cover_time_with_loads_numpy(
-    speeds_scaled: Sequence[int],
-    scale: int,
-    loads: Sequence[int],
-    demand: int,
-) -> Fraction:
-    """Vectorized :func:`repro.scheduling.bounds.min_cover_time_with_loads`."""
-    if len(speeds_scaled) != len(loads):
-        raise InvalidInstanceError(
-            f"{len(loads)} loads for {len(speeds_scaled)} machines"
-        )
-    if not speeds_scaled:
-        if demand > 0:
-            raise InvalidInstanceError("positive demand but no machines")
-        return Fraction(0)
-    f_num, f_den = 0, 1
-    for load, s in zip(loads, speeds_scaled):
-        if load * f_den > f_num * s:
-            f_num, f_den = load, s
-    frontier = Fraction(f_num * scale, f_den)
-    if demand <= 0:
-        return frontier
-    m = len(speeds_scaled)
-    total = sum(speeds_scaled)
-    total_units = sum(loads) + demand
-    lo = max(frontier, Fraction(total_units * scale, total))
-    hi = max(frontier, Fraction((total_units + m) * scale, total))
-    return _search_jump_points(speeds_scaled, scale, loads, demand, lo, hi)
 
 
 # --------------------------------------------------------------------- #

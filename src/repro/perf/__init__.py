@@ -14,8 +14,7 @@ allows" goal needs:
   append-only ``BENCH_trajectory.jsonl`` perf trajectory;
 * :mod:`repro.perf.scenarios` — the ``repro perf`` sweeps measuring the
   optimized hot paths against what they replace (the numpy tiers
-  against the integer references, the parallel oracle against the
-  sequential one).
+  against the integer references).
 
 See ``docs/PERFORMANCE.md`` for the methodology and the measured
 before/after tables.

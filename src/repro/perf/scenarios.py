@@ -2,12 +2,12 @@
 
 Each scenario builds a deterministic workload sweep, times an optimized
 path against the reference it replaces (the integer kernels against
-their numpy tier, the sequential oracle against the parallel one) under
-the warmup/repeat/median policy of :mod:`repro.perf.timer`, asserts
-result equivalence along the way, and returns the before/after table
-as a schema-valid :class:`~repro.perf.record.BenchRecord` (experiment
-ids ``PERF_<target>``).  ``docs/PERFORMANCE.md`` reproduces these
-tables; CI runs the ``smoke`` shapes.
+their numpy tier) under the warmup/repeat/median policy of
+:mod:`repro.perf.timer`, asserts result equivalence along the way, and
+returns the before/after table as a schema-valid
+:class:`~repro.perf.record.BenchRecord` (experiment ids
+``PERF_<target>``).  ``docs/PERFORMANCE.md`` reproduces these tables;
+CI runs the ``smoke`` shapes.
 """
 
 from __future__ import annotations
@@ -64,148 +64,6 @@ def _speedup_row(
 _COLUMNS = ["case", "baseline (ms)", "optimized (ms)", "speedup"]
 
 
-def _scenario_oracle_parallel(
-    repeat: int, warmup: int, smoke: bool
-) -> ScenarioOutcome:
-    """Root-split parallel oracle vs the sequential search.
-
-    Both sides run :func:`~repro.certify.oracle.certified_optimal` —
-    ``workers=1`` is the sequential branch and bound, ``workers=k``
-    fans the root-split subtrees over a process pool with a shared
-    scaled-integer incumbent.  The makespan must be identical on every
-    case (node counts legitimately differ: cross-worker incumbent
-    propagation prunes differently).  The recorded numbers are only
-    meaningful relative to the measuring host's core count, which the
-    notes therefore capture; on a single-core container the parallel
-    side pays pool startup and oversubscription with no compute to win.
-
-    The full run adds a *reach* row: the largest instance from a fixed
-    deterministic ladder that each mode certifies within a 10-second
-    budget (one timed run per rung, no repeats — reach is a frontier
-    measure, not a latency one).
-    """
-    import multiprocessing
-    import os
-    import time
-
-    import numpy as np
-
-    from repro.certify.oracle import certified_optimal
-    from repro.machines.profiles import geometric_speeds
-    from repro.random_graphs.gilbert import gnnp
-    from repro.scheduling.instance import UniformInstance, UnrelatedInstance
-
-    def q_family(n_side: int, m: int, density: float) -> Any:
-        graph = gnnp(n_side, density, seed=9)
-        rng = np.random.default_rng(17)
-        p = [int(x) for x in rng.integers(1, 9, graph.n)]
-        return UniformInstance(graph, p, geometric_speeds(m, 2))
-
-    def r_family(n_side: int, m: int) -> Any:
-        graph = gnnp(n_side, 0.3, seed=13)
-        rng = np.random.default_rng(23)
-        times = [[int(x) for x in rng.integers(1, 15, graph.n)] for _ in range(m)]
-        return UnrelatedInstance(graph, times)
-
-    if smoke:
-        families: list[tuple[str, Any]] = [("Q n=14 m=3", q_family(7, 3, 0.3))]
-        worker_counts = [2]
-    else:
-        families = [
-            ("Q n=24 m=4 d=0.4", q_family(12, 4, 0.4)),
-            ("R n=22 m=4", r_family(11, 4)),
-        ]
-        worker_counts = [2, 4, 8]
-
-    columns = [*_COLUMNS, "workers", "subtrees", "nodes seq", "nodes par"]
-    rows: list[list[Any]] = []
-    phases: list[BenchPhase] = []
-    largest = families[-1][1]
-    for case, instance in families:
-        before = measure(
-            certified_optimal, instance, repeat=repeat, warmup=warmup
-        )
-        for w in worker_counts:
-            after = measure(
-                certified_optimal, instance, w, repeat=repeat, warmup=warmup
-            )
-            if before.value.makespan != after.value.makespan:
-                raise InvalidInstanceError(
-                    f"oracle-parallel equivalence broke on {case} "
-                    f"workers={w}: {before.value.makespan} vs "
-                    f"{after.value.makespan}"
-                )
-            row, case_phases = _speedup_row(
-                f"{case} workers={w}",
-                before,
-                after,
-                {"n": instance.n, "m": instance.m, "workers": w},
-            )
-            row.extend(
-                [
-                    after.value.workers,
-                    after.value.subtrees,
-                    before.value.nodes,
-                    after.value.nodes,
-                ]
-            )
-            rows.append(row)
-            phases.extend(case_phases)
-    if multiprocessing.active_children():
-        raise InvalidInstanceError(
-            "oracle-parallel left live worker processes after teardown"
-        )
-
-    if not smoke:
-        # reach under a fixed wall-clock budget: how far up the ladder
-        # each mode certifies before a single run exceeds 10 seconds
-        budget_s = 10.0
-        ladder = [(n_side, 4) for n_side in (8, 9, 10, 11, 12, 13)]
-        reach: dict[int, tuple[int, float]] = {}
-        for w in (1, 4):
-            best_n, best_s = 0, 0.0
-            for n_side, m in ladder:
-                instance = r_family(n_side, m)
-                start = time.perf_counter()
-                result = certified_optimal(instance, workers=w)
-                elapsed = time.perf_counter() - start
-                if elapsed > budget_s:
-                    break
-                best_n, best_s = instance.n, elapsed
-                del result
-            reach[w] = (best_n, best_s)
-        seq_n, seq_s = reach[1]
-        par_n, par_s = reach[4]
-        rows.append(
-            [
-                f"reach: largest R n certified in {budget_s:.0f}s "
-                f"(seq n={seq_n} vs workers=4 n={par_n})",
-                seq_s * 1e3,
-                par_s * 1e3,
-                1.0,
-                4,
-                0,
-                seq_n,
-                par_n,
-            ]
-        )
-
-    return ScenarioOutcome(
-        record=BenchRecord.build(
-            "PERF_oracle_parallel",
-            columns,
-            rows,
-            phases=phases,
-            notes="root-split parallel branch and bound (shared scaled-int "
-            "incumbent over a process pool) vs the sequential search; "
-            "identical makespans asserted per case; "
-            f"host cpu_count={os.cpu_count()}; medians of repeat={repeat} "
-            f"after warmup={warmup}",
-        ),
-        profile_fn=lambda: certified_optimal(largest, workers=2),
-    )
-
-
 def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome:
     """Numpy tiers vs the integer references of the same hot loops.
 
@@ -222,15 +80,10 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
 
     from repro import fastpath
     from repro.graphs.generators import empty_graph
-    from repro.scheduling.bounds import min_cover_time, min_cover_time_with_loads
     from repro.scheduling.instance import UniformInstance
     from repro.scheduling.list_scheduling import assign_group_greedy
 
-    cutoffs = (
-        "GREEDY_NUMPY_MIN_JOBS",
-        "COVER_NUMPY_MIN_MACHINES",
-        "R2_DP_NUMPY_MIN_STATES",
-    )
+    cutoffs = ("GREEDY_NUMPY_MIN_JOBS", "R2_DP_NUMPY_MIN_STATES")
 
     def integer_only(fn: Callable[..., Any]) -> Callable[..., Any]:
         # raise every numpy cutoff for the duration of each timed call
@@ -296,27 +149,6 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
             canonical=lambda d: list(d.items()),
         )
 
-    # cover-time bounds: vectorized jump-point search; denominators kept
-    # small so the int64 pre-check admits the numpy kernel
-    mc, demand = (512, 2500) if smoke else (10000, 50000)
-    speeds = sorted(
-        (Fraction(rng.randint(1, 8), rng.randint(1, 6)) for _ in range(mc)),
-        reverse=True,
-    )
-    add_case(
-        f"min_cover_time m={mc} demand={demand}",
-        min_cover_time,
-        (speeds, demand),
-        {"m": mc, "demand": demand},
-    )
-    loads = [rng.randint(0, 5) for _ in range(mc)]
-    add_case(
-        f"min_cover_time_with_loads m={mc} demand={demand}",
-        min_cover_time_with_loads,
-        (speeds, loads, demand),
-        {"m": mc, "demand": demand},
-    )
-
     # Algorithm 5's R2 DP at the shape the e2ebench sparse-fptas workload
     # serves: R, m = 2, sparse G(k, k, 0.8/k), integer times in [1, 20],
     # eps = 1/10; the rows are the ones r2_fptas hands to solve_r2_dp
@@ -360,7 +192,6 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
 
 
 SCENARIOS: dict[str, Callable[[int, int, bool], ScenarioOutcome]] = {
-    "oracle-parallel": _scenario_oracle_parallel,
     "fastpath": _scenario_fastpath,
 }
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from repro import fastpath
 from repro.exceptions import InvalidInstanceError
-from repro.fastpath import FastpathUnavailable, kernels_numpy, scaled_speeds
+from repro.fastpath import scaled_speeds
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
 
 __all__ = [
@@ -64,23 +63,16 @@ def min_cover_time_with_loads(
     ``max_i loads[i] / s_i``.
 
     Runs on the speeds scaled to integers (``s_i = S_i / scale``, see
-    :func:`repro.fastpath.scaled_speeds`): capacities jump only at
-    times ``c * scale / S_i``, and at time ``num / den`` machine ``k``
-    holds ``(S_k * num) // (den * scale)`` units.  With at least
-    :data:`repro.fastpath.COVER_NUMPY_MIN_MACHINES` machines the
-    jump-point search is vectorized
-    (:func:`repro.fastpath.kernels_numpy.min_cover_time_with_loads_numpy`)
-    whenever the operands fit ``int64``; both searches return the same
-    least jump point.
+    :func:`repro.fastpath.scaled_speeds`).  Capacities jump only at
+    times ``c * scale / S_i``, kept as the integer pair ``(c, S_i)``
+    and ordered exactly by the key ``(c << b) // S_i`` with
+    ``2**b > 2 * max(S)**2`` (two distinct jump points differ by at
+    least ``1 / (S_i * S_j)``, so they never share a key).  Each jump
+    point adds one unit of capacity, so after one sort the answer is
+    read off by index; the one :class:`~fractions.Fraction` is built
+    at return.
     """
     scaled, scale = scaled_speeds(tuple(speeds))
-    if len(scaled) >= fastpath.COVER_NUMPY_MIN_MACHINES:
-        try:
-            return kernels_numpy.min_cover_time_with_loads_numpy(
-                scaled, scale, loads, demand
-            )
-        except FastpathUnavailable:
-            pass
     if len(scaled) != len(loads):
         raise InvalidInstanceError(
             f"{len(loads)} loads for {len(scaled)} machines"
@@ -89,51 +81,40 @@ def min_cover_time_with_loads(
         if demand > 0:
             raise InvalidInstanceError("positive demand but no machines")
         return Fraction(0)
-    # frontier = max_i loads[i] * scale / S_i by integer cross-multiplication
+    # frontier = max_i loads[i] / S_i by integer cross-multiplication
     f_num, f_den = 0, 1
     for load, s in zip(loads, scaled):
         if load * f_den > f_num * s:
             f_num, f_den = load, s
-    frontier = Fraction(f_num * scale, f_den)
     if demand <= 0:
-        return frontier
-    m = len(scaled)
+        return Fraction(f_num * scale, f_den)
     total = sum(scaled)
     total_units = sum(loads) + demand
-    lo = max(frontier, Fraction(total_units * scale, total))
-    # at hi = (U + m) / S every machine wastes < 1 unit to rounding, so
-    # the residual capacities cover the demand; the frontier keeps the
-    # max() condition satisfied
-    hi = max(frontier, Fraction((total_units + m) * scale, total))
-    candidates: set[Fraction] = {hi}
+    # the answer is a jump point in [lo, hi] (in units of ``scale``):
+    # lo = max(frontier, U / total), and at hi = max(frontier,
+    # (U + m) / total) every machine wastes < 1 unit to rounding, so the
+    # residual capacities cover the demand
+    lo_num, lo_den = total_units, total
+    if f_num * total >= total_units * f_den:
+        lo_num, lo_den = f_num, f_den
+    hi_num, hi_den = total_units + len(scaled), total
+    if f_num * total >= hi_num * f_den:
+        hi_num, hi_den = f_num, f_den
+    shift = 2 * max(scaled).bit_length() + 1
+    # from lo on every machine is at or past its load, so the residual
+    # capacity at a jump point x is ``base`` (the units each machine
+    # holds just below lo, less its load) plus the number of jump points
+    # in [lo, x]: the answer is the first one to bring it to ``demand``
+    base = -sum(loads)
+    candidates: list[tuple[int, int, int]] = []
     for s in scaled:
-        c_lo = max(1, -((-s * lo.numerator) // (lo.denominator * scale)))
-        c_hi = (s * hi.numerator) // (hi.denominator * scale)
-        for c in range(c_lo, c_hi + 1):
-            candidates.add(Fraction(c * scale, s))
-    feasible = sorted(t for t in candidates if lo <= t <= hi)
-
-    def _covers(t: Fraction) -> bool:
-        d = t.denominator * scale
-        residual = 0
-        for s, load in zip(scaled, loads):
-            extra = (s * t.numerator) // d - load
-            if extra > 0:
-                residual += extra
-                if residual >= demand:
-                    return True
-        return False
-
-    left, right = 0, len(feasible) - 1
-    answer = feasible[right]
-    while left <= right:
-        mid = (left + right) // 2
-        if _covers(feasible[mid]):
-            answer = feasible[mid]
-            right = mid - 1
-        else:
-            left = mid + 1
-    return answer
+        c_lo = max(1, -((-s * lo_num) // lo_den))
+        c_hi = (s * hi_num) // hi_den
+        base += c_lo - 1
+        candidates.extend(((c << shift) // s, c, s) for c in range(c_lo, c_hi + 1))
+    candidates.sort()
+    _, c, s = candidates[max(0, demand - base - 1)]
+    return Fraction(c * scale, s)
 
 
 def area_lower_bound(instance: UniformInstance) -> Fraction:

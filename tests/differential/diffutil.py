@@ -30,7 +30,6 @@ from repro.scheduling.instance import UniformInstance
 #: the numpy cutoffs in :mod:`repro.fastpath` that choose a tier per call
 CUTOFFS = (
     "GREEDY_NUMPY_MIN_JOBS",
-    "COVER_NUMPY_MIN_MACHINES",
     "R2_DP_NUMPY_MIN_STATES",
 )
 

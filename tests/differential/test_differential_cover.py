@@ -1,8 +1,9 @@
-"""Differential proof: every cover-time tier returns the defined Fraction.
+"""Differential proof: the cover-time bounds return the defined Fraction.
 
 ``min_cover_time`` / ``min_cover_time_with_loads`` have a single-valued
 answer (the least feasible jump point), so there is no tie-break policy
-to pin — the assertion is simply that every tier returns the *same*
+to pin — the assertion is simply that the integer reference (the only
+implementation; it has no numpy tier) returns the *same*
 :class:`~fractions.Fraction` as :func:`diffutil.cover_oracle`, which
 scans every jump point by definition; in canonical form that means the
 same numerator and denominator bytes.
@@ -16,10 +17,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffutil import TIERS, cover_oracle, kernel_tier, speed_tuples
+from diffutil import cover_oracle, speed_tuples
 from repro import fastpath
 from repro.exceptions import InvalidInstanceError
-from repro.fastpath import kernels_numpy
 from repro.scheduling import bounds
 
 
@@ -33,9 +33,7 @@ def _canonical(t: Fraction) -> tuple[int, int]:
 )
 def test_min_cover_time_tiers_match_the_oracle(speeds, demand):
     expected = _canonical(cover_oracle(speeds, [0] * len(speeds), demand))
-    for tier in TIERS:
-        with kernel_tier(tier):
-            assert _canonical(bounds.min_cover_time(speeds, demand)) == expected, tier
+    assert _canonical(bounds.min_cover_time(speeds, demand)) == expected
 
 
 @given(
@@ -49,10 +47,8 @@ def test_min_cover_time_with_loads_tiers_match_the_oracle(speeds, demand, data):
         st.lists(st.integers(0, 20), min_size=m, max_size=m), label="loads"
     )
     expected = _canonical(cover_oracle(speeds, loads, demand))
-    for tier in TIERS:
-        with kernel_tier(tier):
-            got = bounds.min_cover_time_with_loads(speeds, loads, demand)
-        assert _canonical(got) == expected, tier
+    got = bounds.min_cover_time_with_loads(speeds, loads, demand)
+    assert _canonical(got) == expected
 
 
 @given(k=st.integers(1, 5), n=st.integers(1, 12), demand=st.integers(1, 40))
@@ -63,34 +59,45 @@ def test_hardness_style_speeds(k, n, demand):
         Fraction(1, k * n) for _ in range(3)
     )
     expected = cover_oracle(speeds, [0] * len(speeds), demand)
-    for tier in TIERS:
-        with kernel_tier(tier):
-            assert bounds.min_cover_time(speeds, demand) == expected, tier
+    assert bounds.min_cover_time(speeds, demand) == expected
+
+
+@given(
+    base=st.integers(2**40, 2**62),
+    offsets=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    den=st.integers(1, 7),
+    demand=st.integers(1, 12),
+    data=st.data(),
+)
+def test_near_tied_jump_points_are_ordered_exactly(base, offsets, den, demand, data):
+    """Large speeds a few units apart put jump points of different
+    machines ``1 / (S_i * S_j)`` apart, the closest two distinct ones
+    can be; the integer sort key must still order them exactly."""
+    speeds = tuple(sorted((Fraction(base + o, den) for o in offsets), reverse=True))
+    loads = data.draw(
+        st.lists(st.integers(0, 3), min_size=len(speeds), max_size=len(speeds)),
+        label="loads",
+    )
+    expected = _canonical(cover_oracle(speeds, loads, demand))
+    got = bounds.min_cover_time_with_loads(speeds, loads, demand)
+    assert _canonical(got) == expected
 
 
 def test_bigint_speeds_fall_back_not_truncate():
-    """Scales beyond 2^63 must be exact: the numpy tier declines
-    (FastpathUnavailable), the integer reference answers exactly."""
+    """Scales beyond 2^63 must stay exact: the integer reference runs on
+    arbitrary-precision integers."""
     primes = [2305843009213693951, 2305843009213693967, 2305843009213693973]
     speeds = tuple(Fraction(1, p) for p in primes)
-    scaled, scale = fastpath.scaled_speeds(speeds)
+    _, scale = fastpath.scaled_speeds(speeds)
     assert scale > 2**63
 
-    with pytest.raises(kernels_numpy.FastpathUnavailable):
-        kernels_numpy.min_cover_time_with_loads_numpy(scaled, scale, [0, 0, 0], 3)
-    # the public API silently falls back to the exact integer reference
-    expected = cover_oracle(speeds, [0, 0, 0], 3)
-    for tier in TIERS:
-        with kernel_tier(tier):
-            assert bounds.min_cover_time(speeds, 3) == expected, tier
+    assert bounds.min_cover_time(speeds, 3) == cover_oracle(speeds, [0, 0, 0], 3)
 
 
 def test_error_paths_match_reference():
-    for tier in TIERS:
-        with kernel_tier(tier):
-            with pytest.raises(InvalidInstanceError):
-                bounds.min_cover_time([], 1)
-            with pytest.raises(InvalidInstanceError):
-                bounds.min_cover_time_with_loads([Fraction(1)], [0, 0], 1)
-            assert bounds.min_cover_time([], 0) == 0
-            assert bounds.min_cover_time_with_loads([], [], 0) == 0
+    with pytest.raises(InvalidInstanceError):
+        bounds.min_cover_time([], 1)
+    with pytest.raises(InvalidInstanceError):
+        bounds.min_cover_time_with_loads([Fraction(1)], [0, 0], 1)
+    assert bounds.min_cover_time([], 0) == 0
+    assert bounds.min_cover_time_with_loads([], [], 0) == 0

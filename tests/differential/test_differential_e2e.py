@@ -72,5 +72,3 @@ def test_numpy_tier_declines_int64_overflow():
     error (the public functions then run the integer reference)."""
     with pytest.raises(FastpathUnavailable):
         kernels_numpy.assign_group_greedy_numpy([2**63], [1], [0], [0])
-    with pytest.raises(FastpathUnavailable):
-        kernels_numpy.min_cover_time_with_loads_numpy([2**63], 1, [0], 1)

@@ -16,7 +16,9 @@ numpy      numpy       numpy
 shipped    integer     numpy
 ========== =========== ===========
 
-and every run must give the integer reference's answer.
+and every run must give the integer reference's answer.  The cover-time
+bounds have no numpy tier, so for them every tier must run the integer
+reference on both inputs and reach no numpy kernel at all.
 """
 
 from __future__ import annotations
@@ -86,7 +88,9 @@ def _r2_dp(n: int):
 
 #: loop -> (numpy kernel it calls, input builder, size below the
 #: shipped cutoff, size above it); an R2 DP over 60 jobs reaches layers
-#: well past ``R2_DP_NUMPY_MIN_STATES``, three jobs stay below it
+#: well past ``R2_DP_NUMPY_MIN_STATES``, three jobs stay below it.  A
+#: loop with kernel ``None`` has no numpy tier; its sizes straddle the
+#: 256-machine cutoff its numpy tier used to have
 LOOPS = {
     "greedy": (
         "assign_group_greedy_numpy",
@@ -94,20 +98,13 @@ LOOPS = {
         5,
         fastpath.GREEDY_NUMPY_MIN_JOBS + 76,
     ),
-    "cover": (
-        "min_cover_time_with_loads_numpy",
-        _cover,
-        3,
-        fastpath.COVER_NUMPY_MIN_MACHINES + 44,
-    ),
-    "cover_with_loads": (
-        "min_cover_time_with_loads_numpy",
-        _cover_with_loads,
-        3,
-        fastpath.COVER_NUMPY_MIN_MACHINES + 44,
-    ),
+    "cover": (None, _cover, 3, 300),
+    "cover_with_loads": (None, _cover_with_loads, 3, 300),
     "r2_dp": ("r2_dp_layer_numpy", _r2_dp, 3, 60),
 }
+
+#: every numpy kernel a tier could reach
+NUMPY_KERNELS = tuple(k for k in kernels_numpy.__all__ if k.endswith("_numpy"))
 
 #: (below, above) -> whether the tier's runs reach the numpy kernel
 REACHES_NUMPY = {
@@ -121,12 +118,17 @@ REACHES_NUMPY = {
 @pytest.mark.parametrize("loop", list(LOOPS))
 def test_tier_reaches_the_kernels_it_names(loop, tier):
     kernel, build, below, above = LOOPS[loop]
-    real = getattr(kernels_numpy, kernel)
-    calls: list[int] = []
+    watched = NUMPY_KERNELS if kernel is None else (kernel,)
+    calls: list[str] = []
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(name):
+        real = getattr(kernels_numpy, name)
+
+        def run(*args):
+            calls.append(name)
+            return real(*args)
+
+        return run
 
     reached = []
     for size in (below, above):
@@ -135,9 +137,13 @@ def test_tier_reaches_the_kernels_it_names(loop, tier):
             expected = run()
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels_numpy, kernel, counting)
+            for name in watched:
+                mp.setattr(kernels_numpy, name, counting(name))
             with kernel_tier(tier):
                 got = run()
         assert got == expected, size
         reached.append(bool(calls))
-    assert tuple(reached) == REACHES_NUMPY[tier]
+    if kernel is None:
+        assert reached == [False, False], calls
+    else:
+        assert tuple(reached) == REACHES_NUMPY[tier]

@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.cli` — the ``python -m repro`` interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -346,6 +347,27 @@ class TestCertify:
         assert code == 0
         out = capsys.readouterr().out
         assert "0 violation(s)" in out
+
+    def test_masked_isolated_units_audited_against_the_optimum(self, tmp_path):
+        """Isolated unit jobs that a mask pins to one slow machine: the
+        oracle must honour the masks, so ``brute_force`` is checked
+        against OPT = 3 instead of left without ground truth."""
+        inst_path = tmp_path / "isolated.json"
+        assert main(
+            ["generate", "--family", "empty", "--n", "4", "--speeds", "2,1,1",
+             "--eligible-choices", "1", "--seed", "0", "--out", str(inst_path)]
+        ) == 0
+        out = tmp_path / "rows.jsonl"
+        code = main(
+            ["certify", "--instance", str(inst_path), "--oracle-max-n", "8",
+             "--out", str(out)]
+        )
+        assert code == 0
+        from repro.io import read_jsonl
+
+        (row,) = [r for r in read_jsonl(out) if r["algorithm"] == "brute_force"]
+        assert row["status"] == "ok", row
+        assert Fraction(row["optimal"]) == 3
 
     def test_writes_audit_jsonl(self, tmp_path, capsys):
         out = tmp_path / "audits.jsonl"

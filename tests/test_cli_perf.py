@@ -43,10 +43,7 @@ class TestPerfScenarios:
         )
         assert code == 0
         names = sorted(p.name for p in tmp_path.glob("BENCH_PERF_*.json"))
-        assert names == [
-            "BENCH_PERF_fastpath.json",
-            "BENCH_PERF_oracle_parallel.json",
-        ]
+        assert names == ["BENCH_PERF_fastpath.json"]
 
     def test_profile_flag_prints_hotspots(self, tmp_path, capsys):
         code = main(

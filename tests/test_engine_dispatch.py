@@ -219,11 +219,7 @@ class TestFrozenCorpus:
         on numpy wherever its operands fit (cutoffs at 1)."""
         answers = []
         for cutoff in (sys.maxsize, 1):
-            for knob in (
-                "GREEDY_NUMPY_MIN_JOBS",
-                "COVER_NUMPY_MIN_MACHINES",
-                "R2_DP_NUMPY_MIN_STATES",
-            ):
+            for knob in ("GREEDY_NUMPY_MIN_JOBS", "R2_DP_NUMPY_MIN_STATES"):
                 monkeypatch.setattr(fastpath, knob, cutoff)
             try:
                 schedule = solve(instance)
