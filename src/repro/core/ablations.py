@@ -25,7 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from repro.core.sqrt_approx import _brute_force_fastest, _two_fastest_schedule
+from repro.core.sqrt_approx import (
+    _brute_force_fastest,
+    _refuse_eligibility,
+    _two_fastest_schedule,
+)
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.coloring import inequitable_two_coloring, proper_two_coloring
@@ -120,12 +124,15 @@ def sqrt_approx_ablation(
 
     ``variant`` is a key of :data:`ABLATION_VARIANTS`.  The ``"paper"``
     variant is the unmodified algorithm (kept here so ablation sweeps
-    have an in-suite control).
+    have an in-suite control), except that it always builds ``S1``.
+    Instances with eligibility masks are refused with
+    :exc:`InvalidInstanceError`, as by Algorithm 1.
     """
     knobs = ABLATION_VARIANTS.get(variant)
     if knobs is None:
         known = ", ".join(sorted(ABLATION_VARIANTS))
         raise InvalidInstanceError(f"unknown variant {variant!r}; known: {known}")
+    _refuse_eligibility(instance)
     n, m = instance.n, instance.m
     if n == 0:
         return Schedule(instance, [])

@@ -21,7 +21,13 @@ Structure, following the paper line by line:
    (``p_j >= sqrt(sum p_j)``, compared exactly as ``p_j^2 >= sum p_j``);
    ``I`` fails to exist iff the heavy jobs are not pairwise independent.
 3. ``S1`` = two-fastest-machines schedule from Algorithm 5 with ``eps = 1``
-   (a 2-approximation on ``{M_1, M_2}``).
+   (a 2-approximation on ``{M_1, M_2}``).  Built last, after ``S2``, and
+   only when ``S2`` is missing or ``S2``'s makespan is at least the
+   two-machine bound ``max(C_2, p_max / s_1)``, where ``C_2`` is the least
+   ``T`` with ``floor(s_1 T) + floor(s_2 T) >= sum p_j``.  Jobs have
+   integer sizes, so ``M_i`` carries at most ``floor(s_i T)`` units by time
+   ``T`` and every schedule on ``M_1, M_2`` alone, ``S1`` included, takes
+   at least that bound.
 4. If ``I`` exists (and ``m >= 3`` so a capacity schedule makes sense):
    compute the capacity lower bound ``C**max`` (all machines cover
    ``sum p_j``; machines ``M_2..`` cover ``w(J \\ I)`` — valid because at
@@ -30,7 +36,15 @@ Structure, following the paper line by line:
    schedule:  the heavier inequitable color class ``J'_1`` of ``J \\ I`` on
    ``M_2..M_{k'}``, the lighter class ``J'_2`` on ``M_{k'+1}..M_k`` and
    ``I`` on ``M_1`` plus the leftover slow machines.
-5. Return the better of ``S1`` and ``S2``.
+5. Return the better of ``S1`` and ``S2``; ``S2`` wins only when strictly
+   smaller.  A skipped ``S1`` is at least the two-machine bound, which
+   ``S2`` is strictly below, so step 5 would have returned ``S2`` anyway:
+   skipping never changes the answer.
+
+Eligibility masks (``UniformInstance.eligible``) are not part of the
+paper's model.  :func:`sqrt_approx_schedule` and the ablation harness
+refuse them with :exc:`~repro.exceptions.InvalidInstanceError`; the
+engine never routes them here (``supports_eligibility=False``).
 """
 
 from __future__ import annotations
@@ -41,10 +55,14 @@ from typing import Literal
 
 from repro.core.r2_fptas import r2_fptas
 from repro.core.r2_two_approx import r2_two_approx
-from repro.exceptions import InfeasibleInstanceError
+from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs.coloring import inequitable_two_coloring
 from repro.graphs.independent_set import max_weight_independent_set_containing
-from repro.scheduling.bounds import uniform_capacity_lower_bound
+from repro.scheduling.bounds import (
+    min_cover_time,
+    pmax_lower_bound,
+    uniform_capacity_lower_bound,
+)
 from repro.scheduling.brute_force import brute_force_optimal
 from repro.scheduling.instance import UniformInstance
 from repro.scheduling.list_scheduling import schedule_job_classes
@@ -60,16 +78,30 @@ class SqrtApproxResult:
 
     ``schedule`` is the returned (better) schedule; ``s1`` / ``s2`` are the
     candidates (``s2`` is ``None`` when no suitable independent set exists
-    or ``m < 3``); ``capacity_bound`` is ``C**max`` (``None`` when ``S2``
-    was not built); ``chosen`` names the winner.
+    or ``m < 3``; ``s1`` is ``None`` when it was skipped because it could
+    not win, and ``chosen`` is then ``"s2"``); ``capacity_bound`` is
+    ``C**max`` (``None`` when ``S2`` was not built); ``chosen`` names the
+    winner.
     """
 
     schedule: Schedule
-    s1: Schedule
+    s1: Schedule | None
     s2: Schedule | None
     capacity_bound: Fraction | None
     chosen: Literal["s1", "s2", "brute_force"]
     independent_set: frozenset[int] | None
+
+
+def _refuse_eligibility(instance: UniformInstance) -> None:
+    """Raise :exc:`InvalidInstanceError` on an instance with eligibility masks.
+
+    Algorithm 1 is stated for unrestricted uniform machines: its base
+    case, ``S1`` and ``S2`` all place jobs without reading masks.
+    """
+    if instance.has_eligibility:
+        raise InvalidInstanceError(
+            "Algorithm 1 cannot honour machine-eligibility masks"
+        )
 
 
 def _brute_force_fastest(instance: UniformInstance) -> Schedule:
@@ -110,6 +142,7 @@ def sqrt_approx_schedule(
     ``"two_approx"`` (Algorithm 4) has the identical guarantee at ``O(n)``
     cost and is preferable for very large instances.
     """
+    _refuse_eligibility(instance)
     n, m = instance.n, instance.m
     if n == 0:
         empty = Schedule(instance, [])
@@ -137,9 +170,6 @@ def sqrt_approx_schedule(
     independent = max_weight_independent_set_containing(
         instance.graph, instance.p, heavy
     )
-
-    # step 3: the two-machine candidate
-    s1 = _two_fastest_schedule(instance, s1_solver)
 
     s2: Schedule | None = None
     cap_bound: Fraction | None = None
@@ -206,6 +236,17 @@ def sqrt_approx_schedule(
             ],
         )
 
+    independent_set = frozenset(independent) if independent is not None else None
+    # step 3, last: the two-machine candidate, only when it can win.  No
+    # schedule on M_1, M_2 alone beats this bound, so an S2 strictly below
+    # it is what step 5 returns whatever S1 would be.
+    if s2 is not None and s2.makespan < max(
+        min_cover_time(instance.speeds[:2], total), pmax_lower_bound(instance)
+    ):
+        return SqrtApproxResult(s2, None, s2, cap_bound, "s2", independent_set)
+    s1 = _two_fastest_schedule(instance, s1_solver)
+
+    # step 5: S2 only when strictly smaller
     if s2 is not None and s2.makespan < s1.makespan:
         chosen: Literal["s1", "s2"] = "s2"
         schedule = s2
@@ -218,7 +259,7 @@ def sqrt_approx_schedule(
         s2=s2,
         capacity_bound=cap_bound,
         chosen=chosen,
-        independent_set=frozenset(independent) if independent is not None else None,
+        independent_set=independent_set,
     )
 
 
