@@ -43,7 +43,9 @@ historical measurement against the per-node recomputing loop.
 multiple of ``1 / Q``: a uniform completion is ``load * den_i / num_i``
 (the capacity-bound tail spans land on the same grid) and an unrelated
 one is a sum of processing times, so the quantum ``Q`` is the lcm of the
-speed numerators resp. of the time denominators (:func:`_quantum`).  The
+speed numerators resp. of the time denominators (:func:`_quantum`).
+For uniform speeds this is the grid that the capacity bound and list
+scheduling run on too (:func:`~repro.utils.rationals.speed_grid`).  The
 branch and bound therefore runs on integers scaled by ``Q`` — per-job
 times, machine loads, suffix volumes, the incumbent and both pruning
 bounds — and the optimum becomes a :class:`~fractions.Fraction` again
@@ -54,7 +56,6 @@ off the ``1/Q`` grid raises instead of being rounded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +65,7 @@ from repro.scheduling.bounds import min_cover_time_with_loads
 from repro.scheduling.instance import SchedulingInstance, UniformInstance
 from repro.scheduling.schedule import Schedule
 from repro.certify.validators import instance_lower_bound
+from repro.utils.rationals import _to_grid, lcm_of_denominators, speed_grid
 
 __all__ = ["OracleResult", "certified_optimal", "certified_optimal_makespan"]
 
@@ -159,26 +161,19 @@ def _quantum(instance: SchedulingInstance) -> int:
     Every reachable makespan is ``load * den_i / num_i`` (uniform; the
     capacity-bound tail spans hit the same grid) or a sum of processing
     times (unrelated), so multiplying by the lcm of the speed
-    numerators resp. time denominators always lands on an integer.
+    numerators (:func:`~repro.utils.rationals.speed_grid`) resp. of the
+    time denominators always lands on an integer.
     """
     if isinstance(instance, UniformInstance):
-        return math.lcm(*(s.numerator for s in instance.speeds))
-    return math.lcm(
-        *(
-            t.denominator
+        return speed_grid(instance.speeds)[0]
+    return lcm_of_denominators(
+        [
+            t
             for i in range(instance.m)
             for j in range(instance.n)
             if (t := instance.processing_time(i, j)) is not None
-        )
+        ]
     )
-
-
-def _to_grid(value: Fraction, quantum: int) -> int:
-    """``value * quantum`` as an integer; raises when it is not one."""
-    scaled, rest = divmod(value.numerator * quantum, value.denominator)
-    if rest:
-        raise ReproError(f"{value} is off the oracle's 1/{quantum} grid")
-    return scaled
 
 
 class _SearchContext:
@@ -217,14 +212,12 @@ class _SearchContext:
             self.speeds: tuple[Fraction, ...] = instance.speeds
             self.p: tuple[int, ...] = instance.p
             # one unit on machine i takes den_i / num_i, scaled
-            self.unit_time: list[int] = [
-                s.denominator * (quantum // s.numerator) for s in instance.speeds
-            ]
+            self.unit_time: tuple[int, ...] = speed_grid(instance.speeds)[1]
         else:
             self.uniform = False
             self.speeds = ()
             self.p = ()
-            self.unit_time = []
+            self.unit_time = ()
         self.times: list[list[int | None]] = [
             [
                 None if (t := instance.processing_time(i, j)) is None

@@ -145,8 +145,6 @@ class ServiceStats:
         return self.requests / self.uptime_s()
 
     def to_dict(self) -> dict[str, Any]:
-        from repro.fastpath import scaled_speeds_cache_stats
-
         return {
             "requests": self.requests,
             "solved": self.solved,
@@ -158,9 +156,6 @@ class ServiceStats:
             "uptime_s": round(self.uptime_s(), 3),
             "qps": round(self.qps(), 3),
             "latency": self.latency.snapshot(),
-            # fast-path health for long-lived services: the normalization
-            # cache is bounded, so hit rate (not growth) is the signal
-            "fastpath": {"scaled_speeds_cache": scaled_speeds_cache_stats()},
         }
 
 

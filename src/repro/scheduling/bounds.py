@@ -17,11 +17,12 @@ window ``[D / S, (D + m) / S]`` (``S = sum s_i``) which contains only
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from repro.exceptions import InvalidInstanceError
-from repro.fastpath import scaled_speeds
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
+from repro.utils.rationals import lcm_of_denominators, speed_grid
 
 __all__ = [
     "min_cover_time",
@@ -62,59 +63,55 @@ def min_cover_time_with_loads(
     With ``demand <= 0`` this is just the current completion frontier
     ``max_i loads[i] / s_i``.
 
-    Runs on the speeds scaled to integers (``s_i = S_i / scale``, see
-    :func:`repro.fastpath.scaled_speeds`).  Capacities jump only at
-    times ``c * scale / S_i``, kept as the integer pair ``(c, S_i)``
-    and ordered exactly by the key ``(c << b) // S_i`` with
-    ``2**b > 2 * max(S)**2`` (two distinct jump points differ by at
-    least ``1 / (S_i * S_j)``, so they never share a key).  Each jump
-    point adds one unit of capacity, so after one sort the answer is
-    read off by index; the one :class:`~fractions.Fraction` is built
-    at return.
+    Runs on the integer time grid of the speeds
+    (:func:`repro.utils.rationals.speed_grid`): one unit on machine
+    ``i`` takes ``u_i`` ticks of ``1 / Q``, so the frontier is
+    ``max_i loads[i] * u_i`` ticks and machine ``i``'s capacity jumps
+    at the ticks ``c * u_i``.  Each jump point adds one unit of
+    capacity, so after one sort of these integers the answer is read
+    off by index; the one :class:`~fractions.Fraction` is built at
+    return.
     """
-    scaled, scale = scaled_speeds(tuple(speeds))
-    if len(scaled) != len(loads):
+    quantum, unit_times = speed_grid(speeds)
+    if len(unit_times) != len(loads):
         raise InvalidInstanceError(
-            f"{len(loads)} loads for {len(scaled)} machines"
+            f"{len(loads)} loads for {len(unit_times)} machines"
         )
-    if not scaled:
+    if not unit_times:
         if demand > 0:
             raise InvalidInstanceError("positive demand but no machines")
         return Fraction(0)
-    # frontier = max_i loads[i] / S_i by integer cross-multiplication
-    f_num, f_den = 0, 1
-    for load, s in zip(loads, scaled):
-        if load * f_den > f_num * s:
-            f_num, f_den = load, s
+    frontier = max(0, *map(mul, loads, unit_times))
     if demand <= 0:
-        return Fraction(f_num * scale, f_den)
-    total = sum(scaled)
+        return Fraction(frontier, quantum)
+    # the total speed S = s_num / s_den: U units of work on all machines
+    # at once take U / S, that is U * quantum * s_den / s_num ticks
+    s_den = lcm_of_denominators(speeds)
+    s_num = sum(s.numerator * (s_den // s.denominator) for s in speeds)
     total_units = sum(loads) + demand
-    # the answer is a jump point in [lo, hi] (in units of ``scale``):
-    # lo = max(frontier, U / total), and at hi = max(frontier,
-    # (U + m) / total) every machine wastes < 1 unit to rounding, so the
-    # residual capacities cover the demand
-    lo_num, lo_den = total_units, total
-    if f_num * total >= total_units * f_den:
-        lo_num, lo_den = f_num, f_den
-    hi_num, hi_den = total_units + len(scaled), total
-    if f_num * total >= hi_num * f_den:
-        hi_num, hi_den = f_num, f_den
-    shift = 2 * max(scaled).bit_length() + 1
+    # the answer is a jump point in [lo, hi] (in ticks): lo =
+    # max(frontier, U / S), and at hi = max(frontier, (U + m) / S) every
+    # machine wastes < 1 unit to rounding, so the residual capacities
+    # cover the demand
+    lo_num, lo_den = total_units * quantum * s_den, s_num
+    if frontier * lo_den >= lo_num:
+        lo_num, lo_den = frontier, 1
+    hi_num, hi_den = (total_units + len(unit_times)) * quantum * s_den, s_num
+    if frontier * hi_den >= hi_num:
+        hi_num, hi_den = frontier, 1
     # from lo on every machine is at or past its load, so the residual
     # capacity at a jump point x is ``base`` (the units each machine
     # holds just below lo, less its load) plus the number of jump points
     # in [lo, x]: the answer is the first one to bring it to ``demand``
     base = -sum(loads)
-    candidates: list[tuple[int, int, int]] = []
-    for s in scaled:
-        c_lo = max(1, -((-s * lo_num) // lo_den))
-        c_hi = (s * hi_num) // hi_den
+    candidates: list[int] = []
+    for u in unit_times:
+        c_lo = max(1, -(-lo_num // (lo_den * u)))
+        c_hi = hi_num // (hi_den * u)
         base += c_lo - 1
-        candidates.extend(((c << shift) // s, c, s) for c in range(c_lo, c_hi + 1))
+        candidates.extend(range(c_lo * u, c_hi * u + 1, u))
     candidates.sort()
-    _, c, s = candidates[max(0, demand - base - 1)]
-    return Fraction(c * scale, s)
+    return Fraction(candidates[max(0, demand - base - 1)], quantum)
 
 
 def area_lower_bound(instance: UniformInstance) -> Fraction:

@@ -178,6 +178,14 @@ class UniformInstance(SchedulingInstance):
                 return mask
         return frozenset(range(self.m))
 
+    def allows(self, machine: int, job: int) -> bool:
+        """Whether ``job`` may run on ``machine``: its mask alone decides."""
+        if self.eligible is not None:
+            mask = self.eligible[job]
+            if mask is not None:
+                return machine in mask
+        return True
+
     def processing_time(self, machine: int, job: int) -> Fraction | None:
         if self.eligible is not None:
             mask = self.eligible[job]

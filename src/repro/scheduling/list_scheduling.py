@@ -15,15 +15,13 @@ guarantee and may even fail to complete — experiments record both.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from repro import fastpath
 from repro.exceptions import InvalidInstanceError
-from repro.fastpath import FastpathUnavailable, int_view, kernels_numpy
 from repro.scheduling.instance import SchedulingInstance, UniformInstance
 from repro.scheduling.schedule import Schedule
+from repro.utils.rationals import speed_grid
 
 __all__ = [
     "assign_group_greedy",
@@ -52,75 +50,48 @@ def assign_group_greedy(
     caller is responsible for ``jobs`` being an independent set — this
     routine never inspects the graph, mirroring the paper's usage.
 
-    Runs on the :class:`~repro.fastpath.normalize.IntView` of the
-    instance: speeds scaled to integers, so every completion-time
-    comparison is integer cross-multiplication.  Batches of at least
-    :data:`repro.fastpath.GREEDY_NUMPY_MIN_JOBS` jobs go to
-    :func:`repro.fastpath.kernels_numpy.assign_group_greedy_numpy` when
-    the operands fit ``int64``; smaller batches, and operands past
-    ``int64``, run :func:`_greedy_int`.  Both produce the same mapping,
-    in the same order.
-    """
-    view = int_view(instance)
-    if len(jobs) >= fastpath.GREEDY_NUMPY_MIN_JOBS:
-        try:
-            return kernels_numpy.assign_group_greedy_numpy(
-                view.p, view.speeds_scaled, jobs, machines
-            )
-        except FastpathUnavailable:
-            pass
-    return _greedy_int(view.p, view.speeds_scaled, jobs, machines)
-
-
-def _greedy_int(
-    p: Sequence[int],
-    speeds_scaled: Sequence[int],
-    jobs: Sequence[int],
-    machines: Sequence[int],
-) -> dict[int, int]:
-    """The integer reference of :func:`assign_group_greedy`.
-
-    The common ``scale`` of the speeds cancels out of every
-    completion-time comparison, so it is not even a parameter.  Machines
-    are grouped by (integer) speed with one load-min-heap per group: for
-    a fixed speed the best candidate is always the least-loaded,
-    earliest-listed machine, and the surviving ``g``-way comparison of
-    ``(load + p_j) / S`` values is integer cross-multiplication.
+    Runs on the integer time grid of the speeds
+    (:func:`repro.utils.rationals.speed_grid`): a unit of work on
+    machine ``i`` takes ``u_i`` ticks, so machine ``i`` with ``load``
+    units completes at ``load * u_i`` ticks and every completion-time
+    comparison is between two integers.  Machines are grouped by
+    ``u_i`` with one load-min-heap per group: for a fixed speed the best
+    candidate is always the least-loaded, earliest-listed machine, so a
+    job compares only the ``(load + p_j) * u_i`` of each group's top.
 
     *Runs* of equal-``p_j`` jobs — which LPT order makes contiguous —
     bypass the per-job group scan and place through a machine-level
-    **event calendar**: with ``L = lcm(distinct scaled speeds)`` the key
-    ``(load + k * p_j) * (L / S_i)`` orders exactly like the rational
-    completion time ``(load + k * p_j) / s_i``, each machine's keys
-    during a run form an arithmetic progression with constant step
-    ``p_j * L / S_i``, and popping the ``(key, rank)``-min heap ``r``
-    times reproduces the one-job-at-a-time choices (a non-top machine of
-    any speed group is dominated by its group top in this order, so the
-    calendar minimum always coincides with the per-group-top scan's
-    choice).  Group heaps are rebuilt from the load array only when a
-    singleton run follows a batched one.
+    **event calendar**: each machine's completion times during a run
+    form an arithmetic progression with step ``p_j * u_i``, and popping
+    the ``(completion, rank)``-min heap ``r`` times reproduces the
+    one-job-at-a-time choices (a non-top machine of any speed group is
+    dominated by its group top in this order, so the calendar minimum
+    always coincides with the per-group-top scan's choice).  Group heaps
+    are rebuilt from the load array only when a singleton run follows a
+    batched one.
     """
     if not machines and jobs:
         raise InvalidInstanceError("cannot schedule jobs on an empty machine group")
+    _, unit_times = speed_grid(instance.speeds)
+    p = instance.p
     count = len(machines)
-    speed_by_rank = [speeds_scaled[i] for i in machines]
+    unit_by_rank = [unit_times[i] for i in machines]
     loads = [0] * count  # by position ("rank") in `machines`
-    # speed -> ranks; each group's heap holds (load, rank, machine id)
+    # unit time -> ranks; each group's heap holds (load, rank, machine id)
     group_ranks: dict[int, list[int]] = {}
-    for rank, i in enumerate(machines):
-        group_ranks.setdefault(speed_by_rank[rank], []).append(rank)
+    for rank, u in enumerate(unit_by_rank):
+        group_ranks.setdefault(u, []).append(rank)
 
     def build_groups() -> list[tuple[int, list[tuple[int, int, int]]]]:
         rebuilt: list[tuple[int, list[tuple[int, int, int]]]] = []
-        for speed, ranks in group_ranks.items():
+        for u, ranks in group_ranks.items():
             heap = [(loads[r], r, machines[r]) for r in ranks]
             heapq.heapify(heap)
-            rebuilt.append((speed, heap))
+            rebuilt.append((u, heap))
         return rebuilt
 
     groups = build_groups()
     groups_stale = False
-    mult: list[int] | None = None  # L / S_i per rank, built on first batch
     result: dict[int, int] = {}
     order = sorted(jobs, key=lambda j: (-p[j], j))
     idx = 0
@@ -132,15 +103,12 @@ def _greedy_int(
         run = order[idx:end]
         idx = end
         if len(run) > 1:
-            if mult is None:
-                common = math.lcm(*group_ranks)
-                mult = [common // s for s in speed_by_rank]
-            incs = [p_j * m_r for m_r in mult]
-            calendar = [((loads[r] + p_j) * mult[r], r) for r in range(count)]
+            steps = [p_j * u for u in unit_by_rank]
+            calendar = [((loads[r] + p_j) * unit_by_rank[r], r) for r in range(count)]
             heapq.heapify(calendar)
             for j in run:
-                key, r = calendar[0]
-                heapq.heapreplace(calendar, (key + incs[r], r))
+                done, r = calendar[0]
+                heapq.heapreplace(calendar, (done + steps[r], r))
                 result[j] = machines[r]
                 loads[r] += p_j
             groups_stale = True
@@ -149,22 +117,16 @@ def _greedy_int(
             groups = build_groups()
             groups_stale = False
         (j,) = run
-        # completion of a group = (load + p_j) / S; compare the running
-        # best a/S_best against a'/S' by integer cross-multiplication
         best_heap: list[tuple[int, int, int]] | None = None
-        best_a = best_s = 0
+        best_done = 0
         best_rank = -1
-        for s, heap in groups:
+        for u, heap in groups:
             load, rank, _ = heap[0]
-            a = load + p_j
-            if best_heap is None:
-                better = True
-            else:
-                lhs = a * best_s
-                rhs = best_a * s
-                better = lhs < rhs or (lhs == rhs and rank < best_rank)
-            if better:
-                best_a, best_s, best_rank, best_heap = a, s, rank, heap
+            done = (load + p_j) * u
+            if best_heap is None or done < best_done or (
+                done == best_done and rank < best_rank
+            ):
+                best_done, best_rank, best_heap = done, rank, heap
         if best_heap is None:
             raise InvalidInstanceError("cannot list-schedule onto zero machine groups")
         load, rank, i = heapq.heappop(best_heap)

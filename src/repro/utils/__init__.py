@@ -9,6 +9,7 @@ from repro.utils.rationals import (
     ceil_fraction,
     lcm_of_denominators,
     rescale_to_integers,
+    speed_grid,
 )
 from repro.utils.validation import (
     check_positive_int,
@@ -25,6 +26,7 @@ __all__ = [
     "ceil_fraction",
     "lcm_of_denominators",
     "rescale_to_integers",
+    "speed_grid",
     "check_positive_int",
     "check_positive_ints",
     "check_probability",

@@ -3,7 +3,8 @@
 The paper's correctness arguments compare completion times, machine
 capacities and lower bounds exactly; machine speeds such as ``1/(k*n)``
 (Theorem 8) make floating point unusable.  Everything that feeds a
-theorem-level comparison goes through :class:`fractions.Fraction`.
+theorem-level comparison goes through :class:`fractions.Fraction`, or
+through integers on an exact grid that :func:`speed_grid` certifies.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from repro.exceptions import InvalidInstanceError, ReproError
+
 __all__ = [
     "as_fraction",
     "as_fraction_tuple",
@@ -19,6 +22,7 @@ __all__ = [
     "ceil_fraction",
     "lcm_of_denominators",
     "rescale_to_integers",
+    "speed_grid",
 ]
 
 Rational = int | Fraction
@@ -75,6 +79,41 @@ def lcm_of_denominators(values: Sequence[Fraction | int]) -> int:
         if isinstance(v, Fraction):
             lcm = math.lcm(lcm, v.denominator)
     return lcm
+
+
+def speed_grid(speeds: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The integer time grid of uniform speeds: ``(Q, unit_times)``.
+
+    ``Q`` is the lcm of the speed numerators and ``unit_times[i] =
+    den_i * Q / num_i`` is the time one unit of work takes on machine
+    ``i``, in ticks of ``1 / Q``: ``p`` units on machine ``i`` end at
+    exactly ``p * unit_times[i] / Q``.  ``Q`` is the least integer with
+    that property, so comparing completion times across machines is
+    comparing the integers ``p * unit_times[i]``.
+
+    Raises :exc:`~repro.exceptions.InvalidInstanceError` unless every
+    speed is positive and round-trips, ``unit_times[i] * num_i == Q *
+    den_i``.
+    """
+    quantum = math.lcm(*(s.numerator for s in speeds))
+    unit_times: list[int] = []
+    for s in speeds:
+        num, den = s.numerator, s.denominator
+        unit = den * (quantum // num) if num > 0 else 0
+        if unit <= 0 or unit * num != quantum * den:
+            raise InvalidInstanceError(
+                f"speed {s} is not on the integer time grid 1/{quantum}"
+            )
+        unit_times.append(unit)
+    return quantum, tuple(unit_times)
+
+
+def _to_grid(value: Fraction, quantum: int) -> int:
+    """``value * quantum`` as an integer; raises when it is not one."""
+    scaled, rest = divmod(value.numerator * quantum, value.denominator)
+    if rest:
+        raise ReproError(f"{value} is off the 1/{quantum} grid")
+    return scaled
 
 
 def rescale_to_integers(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

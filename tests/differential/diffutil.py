@@ -28,10 +28,7 @@ from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
 from repro.scheduling.instance import UniformInstance
 
 #: the numpy cutoffs in :mod:`repro.fastpath` that choose a tier per call
-CUTOFFS = (
-    "GREEDY_NUMPY_MIN_JOBS",
-    "R2_DP_NUMPY_MIN_STATES",
-)
+CUTOFFS = ("R2_DP_NUMPY_MIN_STATES",)
 
 #: cutoff value per tier: ``sys.maxsize`` keeps every loop on its
 #: integer reference, 1 sends every loop to numpy wherever its operands

@@ -18,9 +18,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffutil import cover_oracle, speed_tuples
-from repro import fastpath
 from repro.exceptions import InvalidInstanceError
 from repro.scheduling import bounds
+from repro.utils.rationals import speed_grid
 
 
 def _canonical(t: Fraction) -> tuple[int, int]:
@@ -71,8 +71,8 @@ def test_hardness_style_speeds(k, n, demand):
 )
 def test_near_tied_jump_points_are_ordered_exactly(base, offsets, den, demand, data):
     """Large speeds a few units apart put jump points of different
-    machines ``1 / (S_i * S_j)`` apart, the closest two distinct ones
-    can be; the integer sort key must still order them exactly."""
+    machines ``1 / (s_i * s_j)`` apart, the closest two distinct ones
+    can be; the integer jump ticks must still order them exactly."""
     speeds = tuple(sorted((Fraction(base + o, den) for o in offsets), reverse=True))
     loads = data.draw(
         st.lists(st.integers(0, 3), min_size=len(speeds), max_size=len(speeds)),
@@ -87,9 +87,9 @@ def test_bigint_speeds_fall_back_not_truncate():
     """Scales beyond 2^63 must stay exact: the integer reference runs on
     arbitrary-precision integers."""
     primes = [2305843009213693951, 2305843009213693967, 2305843009213693973]
-    speeds = tuple(Fraction(1, p) for p in primes)
-    _, scale = fastpath.scaled_speeds(speeds)
-    assert scale > 2**63
+    speeds = tuple(Fraction(p, 7) for p in reversed(primes))
+    quantum, _ = speed_grid(speeds)
+    assert quantum > 2**63
 
     assert bounds.min_cover_time(speeds, 3) == cover_oracle(speeds, [0, 0, 0], 3)
 

@@ -7,21 +7,19 @@ the *composition* — ranked dispatch, the paper algorithms, and the
 branch-and-bound oracle all sit on top of the hot loops, so any
 divergence the unit-level tests missed (wiring, caching, cutoff
 handling) surfaces here as a schedule or node-count mismatch.  At
-hypothesis sizes the shipped cutoffs keep every loop on its integer
-reference; the ``numpy`` tier is what runs the numpy greedy, cover and
-DP kernels inside ``solve`` and ``certified_optimal``.
+hypothesis sizes the shipped cutoff keeps the R2 DP on its integer
+reference; the ``numpy`` tier is what runs its numpy kernel inside
+``solve`` and ``certified_optimal``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 
 from diffutil import TIERS, kernel_tier, uniform_instances
 from repro.certify.oracle import certified_optimal
 from repro.engine import solve
 from repro.exceptions import ReproError
-from repro.fastpath import FastpathUnavailable, kernels_numpy
 
 
 @given(inst=uniform_instances(max_n=10, max_m=4, with_eligibility=True))
@@ -65,10 +63,3 @@ def test_oracle_identical_across_tiers(inst):
                     result.seeded_from,
                 )
     assert outcomes["reference"] == outcomes["numpy"] == outcomes["shipped"]
-
-
-def test_numpy_tier_declines_int64_overflow():
-    """Operands past int64 make the numpy kernels decline with a typed
-    error (the public functions then run the integer reference)."""
-    with pytest.raises(FastpathUnavailable):
-        kernels_numpy.assign_group_greedy_numpy([2**63], [1], [0], [0])

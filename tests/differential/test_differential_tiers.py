@@ -17,8 +17,9 @@ shipped    integer     numpy
 ========== =========== ===========
 
 and every run must give the integer reference's answer.  The cover-time
-bounds have no numpy tier, so for them every tier must run the integer
-reference on both inputs and reach no numpy kernel at all.
+bounds and greedy list scheduling have no numpy tier, so for them every
+tier must run the integer reference on both inputs and reach no numpy
+kernel at all.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from fractions import Fraction
 import pytest
 
 from diffutil import TIERS, kernel_tier
-from repro import fastpath
 from repro.fastpath import kernels_numpy
 from repro.graphs.bipartite import BipartiteGraph
 from repro.scheduling import bounds, list_scheduling
@@ -90,14 +90,9 @@ def _r2_dp(n: int):
 #: shipped cutoff, size above it); an R2 DP over 60 jobs reaches layers
 #: well past ``R2_DP_NUMPY_MIN_STATES``, three jobs stay below it.  A
 #: loop with kernel ``None`` has no numpy tier; its sizes straddle the
-#: 256-machine cutoff its numpy tier used to have
+#: cutoff its numpy tier used to have (1024 jobs, 256 machines)
 LOOPS = {
-    "greedy": (
-        "assign_group_greedy_numpy",
-        _greedy,
-        5,
-        fastpath.GREEDY_NUMPY_MIN_JOBS + 76,
-    ),
+    "greedy": (None, _greedy, 5, 1100),
     "cover": (None, _cover, 3, 300),
     "cover_with_loads": (None, _cover_with_loads, 3, 300),
     "r2_dp": ("r2_dp_layer_numpy", _r2_dp, 3, 60),

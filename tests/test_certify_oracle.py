@@ -15,7 +15,7 @@ from repro.certify import (
     certified_optimal_makespan,
     certify_schedule,
 )
-from repro.certify.oracle import _SearchContext, _quantum, _to_grid
+from repro.certify.oracle import _SearchContext, _quantum
 from repro.exceptions import InfeasibleInstanceError, ReproError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.conflict import CompleteMultipartiteGraph
@@ -34,6 +34,7 @@ from repro.scheduling.instance import (
     UnrelatedInstance,
     unit_uniform_instance,
 )
+from repro.utils.rationals import _to_grid
 
 from tests.conftest import random_bipartite, random_r2, random_uniform_instance
 

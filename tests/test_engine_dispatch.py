@@ -219,8 +219,7 @@ class TestFrozenCorpus:
         on numpy wherever its operands fit (cutoffs at 1)."""
         answers = []
         for cutoff in (sys.maxsize, 1):
-            for knob in ("GREEDY_NUMPY_MIN_JOBS", "R2_DP_NUMPY_MIN_STATES"):
-                monkeypatch.setattr(fastpath, knob, cutoff)
+            monkeypatch.setattr(fastpath, "R2_DP_NUMPY_MIN_STATES", cutoff)
             try:
                 schedule = solve(instance)
             except InfeasibleInstanceError:

@@ -79,6 +79,17 @@ class TestUniformInstance:
         inst = unit_uniform_instance(path_graph(2), [1, 0.5])
         assert inst.speeds[1] == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "eligible", [None, [[0], None, [1, 2], [2]]], ids=["unmasked", "masked"]
+    )
+    def test_allows_agrees_with_processing_time(self, eligible):
+        inst = UniformInstance(
+            BipartiteGraph(4, []), [1, 2, 3, 4], [3, 2, 1], eligible=eligible
+        )
+        for i in range(inst.m):
+            for j in range(inst.n):
+                assert inst.allows(i, j) == (inst.processing_time(i, j) is not None)
+
 
 class TestToUnrelated:
     def test_full_conversion(self):
