@@ -11,20 +11,14 @@ from repro.analysis.ratio import collect_ratio_stats
 from repro.analysis.suites import random_r2_instance
 from repro.analysis.tables import format_table
 from repro.core.r2_fptas import r2_fptas
-from repro.core.r2_reduction import reduce_r2
 from repro.core.r2_two_approx import r2_two_approx
-from repro.scheduling.dp_unrelated import solve_r2_dp
 
 from benchmarks._common import emit_record, emit_table
 
 
 def exact_optimum(instance):
-    """Exact optimum via Algorithm 3 + untrimmed DP on the components."""
-    red = reduce_r2(instance)
-    rows = red.dummy_matrix()
-    rows[0].extend([red.private_load_m1, None])
-    rows[1].extend([None, red.private_load_m2])
-    return solve_r2_dp(rows).makespan
+    """Exact optimum: Algorithm 5 with the DP untrimmed."""
+    return r2_fptas(instance, eps=None).makespan
 
 
 def test_e5_ratio_table(benchmark):

@@ -11,7 +11,7 @@ Run:  python examples/fptas_tradeoff.py
 import time
 from fractions import Fraction
 
-from repro import r2_fptas, r2_two_approx, solve_r2_dp
+from repro import r2_fptas, r2_two_approx
 from repro.analysis.suites import random_r2_instance
 from repro.analysis.tables import format_table
 from repro.core.r2_reduction import reduce_r2
@@ -26,14 +26,9 @@ def main() -> None:
         f"{len(red.components)} components after Algorithm 3\n"
     )
 
-    # exact optimum of the reduced instance (pseudo-polynomial DP)
-    rows_dp = red.dummy_matrix()
-    rows_dp[0].append(red.private_load_m1)
-    rows_dp[1].append(None)
-    rows_dp[0].append(None)
-    rows_dp[1].append(red.private_load_m2)
+    # exact optimum: Algorithm 5 with the pseudo-polynomial DP untrimmed
     t0 = time.perf_counter()
-    opt = solve_r2_dp(rows_dp).makespan
+    opt = r2_fptas(inst, eps=None).makespan
     t_exact = time.perf_counter() - t0
     print(f"exact optimum: {float(opt):.3f} (DP, {t_exact * 1e3:.1f} ms)\n")
 

@@ -62,10 +62,10 @@ from fractions import Fraction
 from repro.exceptions import InfeasibleInstanceError, ReproError
 from repro.graphs.components import connected_components
 from repro.scheduling.bounds import min_cover_time_with_loads
-from repro.scheduling.instance import SchedulingInstance, UniformInstance
+from repro.scheduling.instance import SchedulingInstance, UniformInstance, UnrelatedInstance
 from repro.scheduling.schedule import Schedule
 from repro.certify.validators import instance_lower_bound
-from repro.utils.rationals import _to_grid, lcm_of_denominators, speed_grid
+from repro.utils.rationals import _to_grid, speed_grid, time_grid
 
 __all__ = ["OracleResult", "certified_optimal", "certified_optimal_makespan"]
 
@@ -162,18 +162,14 @@ def _quantum(instance: SchedulingInstance) -> int:
     capacity-bound tail spans hit the same grid) or a sum of processing
     times (unrelated), so multiplying by the lcm of the speed
     numerators (:func:`~repro.utils.rationals.speed_grid`) resp. of the
-    time denominators always lands on an integer.
+    time denominators (:func:`~repro.utils.rationals.time_grid`) always
+    lands on an integer.
     """
     if isinstance(instance, UniformInstance):
         return speed_grid(instance.speeds)[0]
-    return lcm_of_denominators(
-        [
-            t
-            for i in range(instance.m)
-            for j in range(instance.n)
-            if (t := instance.processing_time(i, j)) is not None
-        ]
-    )
+    if isinstance(instance, UnrelatedInstance):
+        return time_grid(instance.times)[0]
+    raise ReproError(f"no integer grid for {type(instance).__name__}")
 
 
 class _SearchContext:

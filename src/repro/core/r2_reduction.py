@@ -17,20 +17,24 @@ The reduction is exact: schedules of the reduced instance (artificial jobs
 on two machines plus the private loads) correspond 1-1, makespan-preserving,
 to schedules of the original instance — this is the content of the proof of
 Theorem 21.
+
+The case analysis only adds, subtracts and compares times, so it runs on
+the ticks of :func:`~repro.utils.rationals.time_grid`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, cast
 
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.components import connected_components
 from repro.graphs.coloring import proper_two_coloring
 from repro.scheduling.instance import UnrelatedInstance
 from repro.scheduling.schedule import Schedule
+from repro.utils.rationals import time_grid
 
 __all__ = ["ComponentCase", "ComponentRecord", "R2Reduction", "reduce_r2"]
 
@@ -51,15 +55,16 @@ class ComponentRecord:
     straight loads ``(p*_{1,1}, p*_{2,2})`` and ``loads[1]`` the flipped
     loads ``(p*_{1,2}, p*_{2,1})``.  ``dummy_times`` is the artificial
     job's processing time on each machine and ``base_loads`` the
-    contribution to ``(P'_k, P''_k)``.
+    contribution to ``(P'_k, P''_k)``.  All are in ticks of ``1 / scale``
+    of the owning :class:`R2Reduction`.
     """
 
     part1: tuple[int, ...]
     part2: tuple[int, ...]
-    loads: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+    loads: tuple[tuple[int, int], tuple[int, int]]
     case: ComponentCase
-    dummy_times: tuple[Fraction, Fraction]
-    base_loads: tuple[Fraction, Fraction]
+    dummy_times: tuple[int, int]
+    base_loads: tuple[int, int]
 
     def orientation_for_dummy(self, dummy_machine: int) -> int:
         """Map the artificial job's machine to an orientation.
@@ -84,27 +89,37 @@ class ComponentRecord:
 
 @dataclass(frozen=True)
 class R2Reduction:
-    """Output of Algorithm 3 for a full instance."""
+    """Output of Algorithm 3 for a full instance, in ticks of ``1 / scale``."""
 
     instance: UnrelatedInstance
     components: tuple[ComponentRecord, ...]
+    scale: int
 
     @property
-    def private_load_m1(self) -> Fraction:
+    def private_load_m1(self) -> int:
         """``sum_k P'_k`` — work machine 1 carries in *every* schedule."""
-        return sum((c.base_loads[0] for c in self.components), Fraction(0))
+        return sum(c.base_loads[0] for c in self.components)
 
     @property
-    def private_load_m2(self) -> Fraction:
+    def private_load_m2(self) -> int:
         """``sum_k P''_k`` — work machine 2 carries in *every* schedule."""
-        return sum((c.base_loads[1] for c in self.components), Fraction(0))
+        return sum(c.base_loads[1] for c in self.components)
 
-    def dummy_matrix(self) -> list[list[Fraction]]:
-        """Processing times of the artificial jobs (2 x #components)."""
-        return [
-            [c.dummy_times[0] for c in self.components],
-            [c.dummy_times[1] for c in self.components],
+    def dp_rows(self, sentinel: int | None = None) -> list[list[int | None]]:
+        """Algorithm 5's reduced two-machine instance, as integer rows.
+
+        The artificial jobs, then ``sum P'`` on machine 1 and ``sum P''``
+        on machine 2, each taking ``sentinel`` ticks on its other machine
+        (``None`` forbids it there).  Dividing every entry by ``gcd(scale,
+        entries)`` gives exactly what :func:`~repro.utils.rationals.time_grid`
+        makes of the same rows in time units, so the DP trims on one grid.
+        """
+        rows: list[list[int | None]] = [
+            [*(c.dummy_times[0] for c in self.components), self.private_load_m1, sentinel],
+            [*(c.dummy_times[1] for c in self.components), sentinel, self.private_load_m2],
         ]
+        g = math.gcd(self.scale, *(t for row in rows for t in row if t is not None))
+        return [[None if t is None else t // g for t in row] for row in rows]
 
     def schedule_from_orientations(self, orientations: Sequence[int]) -> Schedule:
         """Expand per-component orientations back to a full job schedule."""
@@ -140,23 +155,25 @@ def reduce_r2(instance: UnrelatedInstance) -> R2Reduction:
                     f"Algorithm 3 requires finite processing times; "
                     f"times[{i}][{j}] is forbidden"
                 )
+    scale, ticks = time_grid(instance.times)
+    t1, t2 = cast("list[list[int]]", ticks)  # finite: checked above
     coloring = proper_two_coloring(instance.graph)
     records: list[ComponentRecord] = []
     for comp in connected_components(instance.graph):
         part1 = tuple(j for j in comp if coloring[j] == 0)
         part2 = tuple(j for j in comp if coloring[j] == 1)
-        p11 = sum((instance.times[0][j] for j in part1), Fraction(0))
-        p21 = sum((instance.times[1][j] for j in part1), Fraction(0))
-        p12 = sum((instance.times[0][j] for j in part2), Fraction(0))
-        p22 = sum((instance.times[1][j] for j in part2), Fraction(0))
+        p11 = sum(t1[j] for j in part1)
+        p21 = sum(t2[j] for j in part1)
+        p12 = sum(t1[j] for j in part2)
+        p22 = sum(t2[j] for j in part2)
         loads = ((p11, p22), (p12, p21))
         if p11 <= p12 and p22 <= p21:
             case = ComponentCase.STRAIGHT_DOMINATES
-            dummy = (Fraction(0), Fraction(0))
+            dummy = (0, 0)
             base = (p11, p22)
         elif p12 <= p11 and p21 <= p22:
             case = ComponentCase.FLIPPED_DOMINATES
-            dummy = (Fraction(0), Fraction(0))
+            dummy = (0, 0)
             base = (p12, p21)
         else:
             case = ComponentCase.CHOICE
@@ -175,4 +192,4 @@ def reduce_r2(instance: UnrelatedInstance) -> R2Reduction:
                 base_loads=base,
             )
         )
-    return R2Reduction(instance=instance, components=tuple(records))
+    return R2Reduction(instance=instance, components=tuple(records), scale=scale)

@@ -25,12 +25,17 @@ vocabulary (non-bipartite graphs, eligibility masks) are written as v2.
 Fractions are stored as strings so exact values survive the round trip;
 this is what makes saved hardness-reduction instances (speeds like
 ``1/(k n)``) reloadable without loss.
+
+Decoding never coerces: counts, ``p``, sides, edges, parts, blocks and
+eligibility must be JSON integers; a speed or time is a ``"num/den"``
+string or a JSON number read as the constructors read it (not ``true``).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -99,6 +104,32 @@ def _check_header(data: dict[str, Any], kind: str) -> None:
         )
 
 
+def _json_ints(values: Any, field: str) -> list[int]:
+    """``values`` as a list of JSON integers (``bool``, ``float``, ``str`` refused)."""
+    out = list(values)
+    if not set(map(type, out)) <= {int}:
+        bad = next(v for v in out if type(v) is not int)
+        raise InvalidInstanceError(f"malformed payload: {field} must be JSON integers, got {bad!r}")
+    return out
+
+
+def _json_rationals(values: Any, field: str) -> list[Any]:
+    """Speeds or times: ``"num/den"`` strings are read here, JSON numbers by
+    the constructors' ``as_fraction`` (``0.1`` is ``1/10``), ``true`` never."""
+    out = [Fraction(v) if type(v) is str else v for v in values]
+    if bool in set(map(type, out)):
+        raise InvalidInstanceError(f"malformed payload: {field} must not be booleans")
+    return out
+
+
+def _declared_n(graph: Any) -> int:
+    """The vertex count a graph payload declares, read before the graph
+    allocates one adjacency set per vertex (job data is checked against it)."""
+    _check_header(graph, "graph")
+    (n,) = _json_ints([graph.get("n")], "graph 'n'")
+    return n
+
+
 def graph_to_dict(graph: ConflictGraph) -> dict[str, Any]:
     """Serialise a conflict graph.
 
@@ -143,24 +174,23 @@ def graph_from_dict(data: dict[str, Any]) -> ConflictGraph:
     :exc:`~repro.exceptions.InvalidInstanceError`, never a bare
     ``KeyError``/``TypeError``.
     """
-    _check_header(data, "graph")
+    n = _declared_n(data)
     graph_kind = data.get("graph_kind", "bipartite")
     try:
         if graph_kind == "bipartite":
+            edges = [(u, v) for u, v in data["edges"]]
+            _json_ints(chain.from_iterable(edges), "graph 'edges'")
+            side = data.get("side")
             return BipartiteGraph(
-                int(data["n"]),
-                [(int(u), int(v)) for u, v in data["edges"]],
-                side=data.get("side"),
+                n, edges, side=None if side is None else _json_ints(side, "graph 'side'")
             )
         if graph_kind == "complete_multipartite":
             return CompleteMultipartiteGraph(
-                int(data["n"]),
-                [[int(v) for v in part] for part in data["parts"]],
+                n, [_json_ints(part, "graph 'parts'") for part in data["parts"]]
             )
         if graph_kind == "block":
             return BlockGraph(
-                int(data["n"]),
-                [[int(v) for v in blk] for blk in data["blocks"]],
+                n, [_json_ints(blk, "graph 'blocks'") for blk in data["blocks"]]
             )
     except InvalidInstanceError:
         raise
@@ -236,13 +266,7 @@ def _parse_eligible(
             "'eligible' must be a list (one entry per job: machine-index "
             "list or null)"
         )
-    out: list[list[int] | None] = []
-    for entry in raw:
-        if entry is None:
-            out.append(None)
-        else:
-            out.append([int(i) for i in entry])
-    return out
+    return [None if entry is None else _json_ints(entry, "'eligible'") for entry in raw]
 
 
 def instance_from_dict(data: dict[str, Any]) -> SchedulingInstance:
@@ -258,20 +282,26 @@ def instance_from_dict(data: dict[str, Any]) -> SchedulingInstance:
     try:
         if kind == "uniform_instance":
             _check_header(data, "uniform_instance")
+            n, p = _declared_n(data["graph"]), data["p"]
+            if len(p) != n:
+                raise InvalidInstanceError(f"{len(p)} processing requirements for {n} jobs")
             return UniformInstance(
                 graph_from_dict(data["graph"]),
-                [int(x) for x in data["p"]],
-                [Fraction(s) for s in data["speeds"]],
+                p,  # check_positive_ints refuses anything but positive ints
+                _json_rationals(data["speeds"], "'speeds'"),
                 eligible=_parse_eligible(data.get("eligible")),
             )
         if kind == "unrelated_instance":
             _check_header(data, "unrelated_instance")
+            n, times = _declared_n(data["graph"]), data["times"]
+            if not times:
+                raise InvalidInstanceError("need at least one machine")
+            for i, row in enumerate(times):
+                if len(row) != n:
+                    raise InvalidInstanceError(f"times[{i}] has {len(row)} entries for {n} jobs")
             return UnrelatedInstance(
                 graph_from_dict(data["graph"]),
-                [
-                    [None if t is None else Fraction(t) for t in row]
-                    for row in data["times"]
-                ],
+                [_json_rationals(row, "'times'") for row in times],
             )
     except InvalidInstanceError:
         raise

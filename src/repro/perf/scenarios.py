@@ -93,12 +93,7 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
         gnnp(half, 0.8 / half, seed=11),
         [[rng.randint(1, 20) for _ in range(2 * half)] for _ in range(2)],
     )
-    reduction = reduce_r2(r2)
-    m1_times, m2_times = reduction.dummy_matrix()
-    dp_rows: list[list[Fraction | None]] = [
-        [*m1_times, reduction.private_load_m1, None],
-        [*m2_times, None, reduction.private_load_m2],
-    ]
+    dp_rows = reduce_r2(r2).dp_rows()
 
     def dp() -> Any:
         return solve_r2_dp(dp_rows, eps=Fraction(1, 10))

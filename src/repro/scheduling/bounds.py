@@ -16,13 +16,14 @@ window ``[D / S, (D + m) / S]`` (``S = sum s_i``) which contains only
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from repro.exceptions import InvalidInstanceError
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
-from repro.utils.rationals import lcm_of_denominators, speed_grid
+from repro.utils.rationals import speed_grid
 
 __all__ = [
     "min_cover_time",
@@ -86,7 +87,7 @@ def min_cover_time_with_loads(
         return Fraction(frontier, quantum)
     # the total speed S = s_num / s_den: U units of work on all machines
     # at once take U / S, that is U * quantum * s_den / s_num ticks
-    s_den = lcm_of_denominators(speeds)
+    s_den = math.lcm(*(s.denominator for s in speeds))
     s_num = sum(s.numerator * (s_den // s.denominator) for s in speeds)
     total_units = sum(loads) + demand
     # the answer is a jump point in [lo, hi] (in ticks): lo =

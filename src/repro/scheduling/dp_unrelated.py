@@ -19,7 +19,8 @@ how Algorithm 5 pins its two aggregated "private load" jobs to their
 machines (the paper encodes the same constraint with a ``2T`` sentinel
 processing time).
 
-All arithmetic is integer after an exact rescaling of the rational inputs.
+All arithmetic is integer, on the inputs' exact
+:func:`~repro.utils.rationals.time_grid` (integer rows are used as they are).
 
 The forward pass builds one layer per job.  Small layers go through the
 reference dict step (:func:`_layer_python`); once a layer holds
@@ -38,7 +39,7 @@ from typing import Any, Sequence
 from repro import fastpath
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.fastpath import FastpathUnavailable, kernels_numpy
-from repro.utils.rationals import as_fraction, floor_fraction, rescale_to_integers
+from repro.utils.rationals import as_fraction, floor_fraction, time_grid
 
 __all__ = ["solve_r2_dp", "DPResult"]
 
@@ -81,22 +82,15 @@ def solve_r2_dp(
     if n == 0:
         return DPResult(Fraction(0), ())
 
-    # exact integer rescaling ------------------------------------------------
-    finite: list[Fraction] = []
-    for row in times:
+    # exact integer grid -------------------------------------------------
+    exact: list[list[int | Fraction | None]] = [[], []]
+    for row, out in zip(times, exact):
         for t in row:
-            if t is not None:
-                f = as_fraction(t)
-                if f < 0:
-                    raise InvalidInstanceError(f"negative processing time {t}")
-                finite.append(f)
-    scaled, scale = rescale_to_integers(finite)
-    it = iter(scaled)
-    t_int: list[list[int | None]] = [[None] * n for _ in range(2)]
-    for i in range(2):
-        for j in range(n):
-            if times[i][j] is not None:
-                t_int[i][j] = next(it)
+            f = t if t is None or isinstance(t, int) else as_fraction(t)
+            if f is not None and f < 0:
+                raise InvalidInstanceError(f"negative processing time {t}")
+            out.append(f)
+    scale, t_int = time_grid(exact)
 
     ub = 0
     for j in range(n):

@@ -7,9 +7,8 @@ from repro.utils.rationals import (
     as_fraction_tuple,
     floor_fraction,
     ceil_fraction,
-    lcm_of_denominators,
-    rescale_to_integers,
     speed_grid,
+    time_grid,
 )
 from repro.utils.validation import (
     check_positive_int,
@@ -24,9 +23,8 @@ __all__ = [
     "as_fraction_tuple",
     "floor_fraction",
     "ceil_fraction",
-    "lcm_of_denominators",
-    "rescale_to_integers",
     "speed_grid",
+    "time_grid",
     "check_positive_int",
     "check_positive_ints",
     "check_probability",

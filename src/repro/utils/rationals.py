@@ -4,7 +4,8 @@ The paper's correctness arguments compare completion times, machine
 capacities and lower bounds exactly; machine speeds such as ``1/(k*n)``
 (Theorem 8) make floating point unusable.  Everything that feeds a
 theorem-level comparison goes through :class:`fractions.Fraction`, or
-through integers on an exact grid that :func:`speed_grid` certifies.
+through integers on an exact grid: :func:`speed_grid` for uniform speeds,
+:func:`time_grid` for unrelated processing times.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ __all__ = [
     "as_fraction_tuple",
     "floor_fraction",
     "ceil_fraction",
-    "lcm_of_denominators",
-    "rescale_to_integers",
     "speed_grid",
+    "time_grid",
 ]
 
 Rational = int | Fraction
@@ -67,20 +67,6 @@ def ceil_fraction(value: Fraction | int) -> int:
     return -((-value.numerator) // value.denominator)
 
 
-def lcm_of_denominators(values: Sequence[Fraction | int]) -> int:
-    """Least common multiple of the denominators of ``values``.
-
-    Multiplying a set of rationals by this LCM produces integers, which lets
-    the DP engines (:mod:`repro.scheduling.dp_unrelated`) run in fast integer
-    arithmetic while staying exact.
-    """
-    lcm = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            lcm = math.lcm(lcm, v.denominator)
-    return lcm
-
-
 def speed_grid(speeds: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """The integer time grid of uniform speeds: ``(Q, unit_times)``.
 
@@ -108,24 +94,28 @@ def speed_grid(speeds: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return quantum, tuple(unit_times)
 
 
+def time_grid(
+    rows: Sequence[Sequence[Rational | None]],
+) -> tuple[int, list[list[int | None]]]:
+    """The integer grid of processing times: ``(scale, ticks)``.
+
+    ``scale`` is the lcm of the denominators of the finite entries and
+    ``ticks[i][j] = rows[i][j] * scale``, so sums of times compare like
+    sums of ticks.  ``scale`` is the least such integer, hence
+    ``gcd(scale, *ticks) == 1``.  ``None`` (a forbidden pair) stays
+    ``None``, and integer rows come back unchanged with ``scale == 1``.
+    """
+    scale = math.lcm(*{t.denominator for row in rows for t in row if t is not None})
+    ticks = [
+        [None if t is None else t.numerator * (scale // t.denominator) for t in row]
+        for row in rows
+    ]
+    return scale, ticks
+
+
 def _to_grid(value: Fraction, quantum: int) -> int:
     """``value * quantum`` as an integer; raises when it is not one."""
     scaled, rest = divmod(value.numerator * quantum, value.denominator)
     if rest:
         raise ReproError(f"{value} is off the 1/{quantum} grid")
     return scaled
-
-
-def rescale_to_integers(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """Return ``([v * scale for v in values], scale)`` with integer entries.
-
-    ``scale`` is the smallest positive integer making every entry integral
-    (the LCM of denominators); results divide back exactly.
-    """
-    scale = lcm_of_denominators(values)
-    scaled: list[int] = []
-    for v in values:
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        num = f.numerator * (scale // f.denominator)
-        scaled.append(num)
-    return scaled, scale

@@ -44,8 +44,19 @@ def random_uniform_instance(
     return UniformInstance(g, p, speeds)
 
 
-def random_r2(rng: np.random.Generator, max_side: int = 5, max_time: int = 20) -> UnrelatedInstance:
-    """A small random two-machine unrelated instance."""
+def random_r2(
+    rng: np.random.Generator, max_side: int = 5, max_time: int = 20, max_den: int = 1
+) -> UnrelatedInstance:
+    """A small random two-machine unrelated instance.
+
+    Times are integers in ``[1, max_time]``, divided by a random
+    denominator in ``[1, max_den]`` when ``max_den > 1``.
+    """
     g = random_bipartite(rng, max_side=max_side)
     times = [[int(x) for x in rng.integers(1, max_time + 1, g.n)] for _ in range(2)]
+    if max_den > 1:
+        times = [
+            [Fraction(t, int(d)) for t, d in zip(row, rng.integers(1, max_den + 1, g.n))]
+            for row in times
+        ]
     return UnrelatedInstance(g, times)

@@ -49,6 +49,18 @@ class TestGuarantee:
             assert span <= (1 + Fraction(e)) * opt
 
 
+class TestExact:
+    @pytest.mark.parametrize("max_den", [1, 6])
+    def test_eps_none_is_optimal(self, max_den):
+        """``eps=None`` runs the DP untrimmed: the brute-force optimum."""
+        rng = np.random.default_rng(83)
+        for _ in range(15):
+            inst = random_r2(rng, max_side=4, max_den=max_den)
+            s = r2_fptas(inst, eps=None)
+            assert s.is_feasible()
+            assert s.makespan == brute_force_makespan(inst)
+
+
 class TestSentinelFidelity:
     def test_sentinel_matches_forbidden_mode(self):
         """The paper's 2T sentinel and native pinning agree (eps < 1)."""

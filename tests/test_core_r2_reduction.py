@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.r2_reduction import ComponentCase, reduce_r2
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import complete_bipartite, matching_graph, path_graph
 from repro.scheduling.instance import UnrelatedInstance
+from repro.utils.rationals import time_grid
 
 from tests.conftest import random_r2
 
@@ -83,19 +85,22 @@ class TestReductionInvariants:
                 assert s.is_feasible()
 
     def test_expansion_makespan_matches_reduced_loads(self):
-        """Loads of the expanded schedule = private loads + chosen extras."""
+        """Loads of the expanded schedule = private loads + chosen extras,
+        on integer and on rational times."""
         rng = np.random.default_rng(62)
-        for _ in range(15):
-            inst = random_r2(rng)
+        for max_den in [1] * 15 + [6] * 15:
+            inst = random_r2(rng, max_den=max_den)
             red = reduce_r2(inst)
             orientations = [int(x) for x in rng.integers(0, 2, len(red.components))]
             s = red.schedule_from_orientations(orientations)
-            expected = [Fraction(0), Fraction(0)]
+            expected = [0, 0]
             for rec, orient in zip(red.components, orientations):
                 loads = rec.loads[orient]
                 expected[0] += loads[0]
                 expected[1] += loads[1]
-            assert s.completion_times() == tuple(expected)
+            assert s.completion_times() == tuple(
+                Fraction(ticks, red.scale) for ticks in expected
+            )
 
     def test_dummy_assignment_reproduces_orientation_loads(self):
         """In the choice case, dummy on machine i gives machine i its max load."""
@@ -127,6 +132,43 @@ class TestReductionInvariants:
         red = reduce_r2(inst)
         with pytest.raises(InvalidInstanceError):
             red.schedule_from_orientations([2])
+
+
+@st.composite
+def rational_r2(draw):
+    """A small R2 instance on a random bipartite graph with rational times."""
+    side = draw(st.lists(st.integers(0, 1), min_size=1, max_size=7))
+    n = len(side)
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    edges = draw(st.lists(st.sampled_from(cross), unique=True)) if cross else []
+    time = st.fractions(min_value=0, max_value=12, max_denominator=6)
+    times = [draw(st.lists(time, min_size=n, max_size=n)) for _ in range(2)]
+    return UnrelatedInstance(BipartiteGraph(n, edges, side=side), times)
+
+
+class TestDpRows:
+    """Algorithm 5's reduced instance, built once by ``dp_rows``."""
+
+    @given(inst=rational_r2(), sentinel=st.none() | st.integers(1, 60))
+    @example(
+        # two edges with every time 1/2: scale 2, and every entry is even
+        inst=UnrelatedInstance(matching_graph(2), [[Fraction(1, 2)] * 4] * 2),
+        sentinel=None,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dp_rows_are_time_grid_of_rows_in_time_units(self, inst, sentinel):
+        red = reduce_r2(inst)
+
+        def time_units(ticks):
+            return None if ticks is None else Fraction(ticks, red.scale)
+
+        rows = [
+            [*(time_units(c.dummy_times[0]) for c in red.components),
+             time_units(red.private_load_m1), time_units(sentinel)],
+            [*(time_units(c.dummy_times[1]) for c in red.components),
+             time_units(sentinel), time_units(red.private_load_m2)],
+        ]
+        assert red.dp_rows(sentinel) == time_grid(rows)[1]
 
 
 class TestPreconditions:

@@ -36,17 +36,16 @@ class TestApproximationGuarantee:
             assert s.makespan <= 2 * opt, (s.makespan, opt)
 
     def test_proof_inequality(self):
-        """Cmax <= max(T1, T2) + T_extra, the bound inside Theorem 21."""
+        """Cmax <= max(T1, T2) + T_extra, the bound inside Theorem 21, on
+        integer and on rational times."""
         rng = np.random.default_rng(72)
-        for _ in range(20):
-            inst = random_r2(rng)
+        for max_den in [1] * 20 + [6] * 20:
+            inst = random_r2(rng, max_den=max_den)
             red = reduce_r2(inst)
             s = r2_two_approx(inst)
             t1, t2 = red.private_load_m1, red.private_load_m2
-            t_extra = sum(
-                (min(rec.dummy_times) for rec in red.components), Fraction(0)
-            )
-            assert s.makespan <= max(t1, t2) + t_extra
+            t_extra = sum(min(rec.dummy_times) for rec in red.components)
+            assert s.makespan <= Fraction(max(t1, t2) + t_extra, red.scale)
 
     def test_tightish_example(self):
         """A case where Algorithm 4 is a full factor ~2 away: two choice

@@ -13,6 +13,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,26 @@ def test_portfolio_must_be_a_positive_json_integer():
         assert good["ok"] is True and good["algorithm"] == "portfolio:2", config
         assert stats["stats"]["errors"] == len(_BAD_PORTFOLIOS), config
         assert stats["stats"]["solved"] == 1, config
+
+
+def test_decoder_refusals_are_typed_errors_on_both_tiers():
+    """A declared job count far above the job data is refused before the
+    graph is built, and a non-integer ``p`` is refused, not truncated."""
+    huge = _uniform(4, [3, 1])
+    huge["graph"]["n"] = 10**9
+    fractional = _uniform(4, [3, 1])
+    fractional["p"][0] = 2.5
+    lines = [
+        _line(op="solve", id=1, instance=huge),
+        _line(op="solve", id=2, instance=fractional),
+    ]
+    for config in ("stdin", "async-threads"):
+        start = time.perf_counter()
+        too_many, not_int = map(json.loads, serve_lines(config, lines))
+        assert time.perf_counter() - start < 1.0, config
+        assert too_many["ok"] is False, config
+        assert "8 processing requirements for 1000000000 jobs" in too_many["error"], config
+        assert not_int["ok"] is False and "p[0] must be an int" in not_int["error"], config
 
 
 @pytest.mark.skipif(

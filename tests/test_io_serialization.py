@@ -1,6 +1,8 @@
 """Tests for :mod:`repro.io` — lossless JSON round trips."""
 
+import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.exceptions import InvalidInstanceError
 from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
 from repro.io import (
     graph_from_dict,
     graph_to_dict,
@@ -95,6 +98,88 @@ class TestInstanceRoundTrip:
     def test_non_dict_rejected(self):
         with pytest.raises(InvalidInstanceError):
             instance_from_dict("not a dict")
+
+
+def _wire(instance):
+    """An instance payload as a client sends it: through JSON text."""
+    return json.loads(json.dumps(instance_to_dict(instance)))
+
+
+_PAYLOADS = {
+    "q": _wire(UniformInstance(generators.matching_graph(2), [3, 1, 4, 2], [F(2), F(1)])),
+    "q-eligible": _wire(
+        UniformInstance(
+            generators.matching_graph(2), [3, 1, 4, 2], [F(2), F(1)],
+            eligible=[[0], None, None, [1]],
+        )
+    ),
+    "r": _wire(
+        UnrelatedInstance(generators.matching_graph(2), [[1, 2, 3, 4], [F(1, 2), 2, 3, 1]])
+    ),
+    "multipartite": _wire(
+        UniformInstance(CompleteMultipartiteGraph(4, [[0, 1], [2, 3]]), [1, 1, 1, 1], [F(1)])
+    ),
+    "block": _wire(UniformInstance(BlockGraph(4, [[0, 1], [2, 3]]), [1, 1, 1, 1], [F(1)])),
+}
+
+#: (payload, path, value): each puts a value the decoder used to coerce
+#: (or a job count it used to allocate for) at ``path``
+_MUTATIONS = [
+    ("q", ("p", 0), 5.9),
+    ("q", ("p", 1), True),
+    ("q", ("p", 2), "4"),
+    ("q", ("graph", "n"), 4.7),
+    ("q", ("graph", "n"), True),
+    ("q", ("graph", "edges", 0), [0.9, 2.2]),
+    ("q", ("graph", "edges", 0, 1), "1"),
+    ("q", ("graph", "side"), [0.5, 0, 1, True]),
+    ("q", ("graph", "side", 3), True),
+    ("q", ("speeds", 0), True),
+    ("q", ("speeds", 0), [2]),
+    ("q-eligible", ("eligible", 0), [0.0]),
+    ("q-eligible", ("eligible", 3), ["1"]),
+    ("r", ("times", 0, 0), True),
+    ("r", ("times", 1, 2), {"num": 3}),
+    ("r", ("graph", "n"), 10**9),
+    ("r", ("times",), []),
+    ("multipartite", ("graph", "parts", 0, 0), 0.0),
+    ("block", ("graph", "blocks", 1, 1), False),
+]
+
+
+class TestStrictDecode:
+    @pytest.mark.parametrize(
+        "name, path, value",
+        _MUTATIONS,
+        ids=[f"{name}-{'.'.join(map(str, path))}-{value!r}"[:60] for name, path, value in _MUTATIONS],
+    )
+    def test_refused(self, name, path, value):
+        payload = copy.deepcopy(_PAYLOADS[name])
+        instance_from_dict(payload)  # the unmutated payload decodes
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InvalidInstanceError):
+            instance_from_dict(payload)
+
+    def test_declared_job_count_checked_before_the_graph_is_built(self):
+        payload = copy.deepcopy(_PAYLOADS["q"])
+        payload["graph"]["n"] = 10**9
+        start = time.perf_counter()
+        message = "4 processing requirements for 1000000000 jobs"
+        with pytest.raises(InvalidInstanceError, match=message):
+            instance_from_dict(payload)
+        assert time.perf_counter() - start < 1.0
+
+    def test_json_numbers_read_as_the_constructors_read_them(self):
+        payload = copy.deepcopy(_PAYLOADS["q"])
+        payload["speeds"] = [0.1, 0.1]
+        constructed = UniformInstance(generators.matching_graph(2), [3, 1, 4, 2], [0.1, 0.1])
+        assert instance_from_dict(payload).speeds == constructed.speeds == (F(1, 10), F(1, 10))
+        payload = copy.deepcopy(_PAYLOADS["r"])
+        payload["times"][0] = [2.5, 1, None, "3/4"]
+        assert instance_from_dict(payload).times[0] == (F(5, 2), F(1), None, F(3, 4))
 
 
 class TestScheduleRoundTrip:

@@ -1,5 +1,6 @@
 """Tests for exact rational helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,7 @@ from repro.utils.rationals import (
     as_fraction_tuple,
     ceil_fraction,
     floor_fraction,
-    lcm_of_denominators,
-    rescale_to_integers,
+    time_grid,
 )
 
 
@@ -67,31 +67,44 @@ class TestFloorCeil:
 
 class TestRescale:
     def test_lcm_of_denominators(self):
-        vals = [Fraction(1, 2), Fraction(1, 3), 5]
-        assert lcm_of_denominators(vals) == 6
+        assert time_grid([[Fraction(1, 2), Fraction(1, 3), 5]])[0] == 6
 
     def test_rescale_exact(self):
-        vals = [Fraction(1, 2), Fraction(2, 3), 1]
-        scaled, scale = rescale_to_integers(vals)
+        rows = [[Fraction(1, 2), Fraction(2, 3)], [1, Fraction(5, 6)]]
+        scale, ticks = time_grid(rows)
         assert scale == 6
-        assert scaled == [3, 4, 6]
-        for v, s in zip(vals, scaled):
-            assert Fraction(s, scale) == v
+        assert ticks == [[3, 4], [6, 5]]
+        for row, tick_row in zip(rows, ticks):
+            for v, t in zip(row, tick_row):
+                assert Fraction(t, scale) == v
 
     @given(
         st.lists(
-            st.fractions(min_value=0, max_value=100, max_denominator=50),
+            st.lists(
+                st.none() | st.fractions(min_value=0, max_value=100, max_denominator=50),
+                min_size=3,
+                max_size=3,
+            ),
             min_size=1,
-            max_size=8,
+            max_size=3,
         )
     )
-    def test_rescale_roundtrip(self, vals):
-        scaled, scale = rescale_to_integers(vals)
+    def test_rescale_roundtrip(self, rows):
+        scale, ticks = time_grid(rows)
         assert scale >= 1
-        assert all(isinstance(s, int) for s in scaled)
-        for v, s in zip(vals, scaled):
-            assert Fraction(s, scale) == v
+        for row, tick_row in zip(rows, ticks):
+            for v, t in zip(row, tick_row):
+                if v is None:
+                    assert t is None
+                else:
+                    assert isinstance(t, int) and Fraction(t, scale) == v
+        # the least such scale: no common factor is left to divide out
+        assert math.gcd(scale, *(t for row in ticks for t in row if t is not None)) == 1
 
     def test_all_ints_scale_one(self):
-        scaled, scale = rescale_to_integers([1, 2, 3])
-        assert scale == 1 and scaled == [1, 2, 3]
+        scale, ticks = time_grid([[1, 2, 3], [4, None, 0]])
+        assert scale == 1 and ticks == [[1, 2, 3], [4, None, 0]]
+
+    def test_none_passthrough(self):
+        scale, ticks = time_grid([[None, Fraction(1, 4)], [Fraction(1, 2), None]])
+        assert scale == 4 and ticks == [[None, 1], [2, None]]
