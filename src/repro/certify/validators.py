@@ -4,8 +4,8 @@
 the same object whose bookkeeping it trusts (cached completion times,
 the instance's own ``machine_completion``).  The certifier re-derives
 everything from first principles — conflict edges straight off the
-graph's edge list, eligibility straight off the processing-time oracle,
-the makespan by re-summing processing times per machine — and packages
+graph's edge list, eligibility straight off the instance's ``allows``,
+the makespan by re-summing the raw job data per machine — and packages
 the findings as a machine-readable :class:`CertificateReport` that the
 batch engine can persist next to each result record.
 
@@ -157,16 +157,22 @@ class CertificateReport:
 def _recompute_makespan(
     instance: SchedulingInstance, assignment: tuple[int, ...]
 ) -> Fraction | None:
-    """Makespan re-derived from raw processing times (``None`` if some
-    assigned pair is forbidden — eligibility violations are reported
-    separately and must not crash the audit)."""
+    """Makespan re-derived from the raw job data, for an assignment that
+    respects eligibility: on uniform machines the integer ``p_j`` summed
+    per machine and divided once by its speed, otherwise the processing
+    times summed (``None`` if some assigned pair has none)."""
+    if isinstance(instance, UniformInstance):
+        loads = [0] * instance.m
+        for j, i in enumerate(assignment):
+            loads[i] += instance.p[j]
+        return max(Fraction(load) / s for load, s in zip(loads, instance.speeds))
     totals = [Fraction(0)] * instance.m
     for j, i in enumerate(assignment):
         t = instance.processing_time(i, j)
         if t is None:
             return None
         totals[i] += t
-    return max(totals) if totals else Fraction(0)
+    return max(totals)
 
 
 def certify_schedule(
@@ -204,12 +210,12 @@ def certify_schedule(
             conflicts.append((min(a, b), max(a, b), assignment[a]))
     conflicts.sort()
 
-    eligibility: list[tuple[int, int]] = []
-    for j, i in enumerate(assignment):
-        if instance.processing_time(i, j) is None:
-            eligibility.append((j, i))
+    eligibility = [
+        (j, i) for j, i in enumerate(assignment) if not instance.allows(i, j)
+    ]
 
-    recomputed = _recompute_makespan(instance, assignment)
+    # a forbidden pair has no processing time to sum
+    recomputed = None if eligibility else _recompute_makespan(instance, assignment)
     if claimed_makespan is None and recomputed is not None:
         claimed_makespan = schedule.makespan
     consistent = recomputed is not None and claimed_makespan == recomputed

@@ -93,10 +93,7 @@ def greedy_independent_set_containing(
 
 
 def _two_coloring_classes(
-    graph: BipartiteGraph,
-    ids: list[int],
-    weights: Sequence[int],
-    weighted: bool,
+    instance: UniformInstance, rest: list[int], weighted: bool
 ) -> tuple[list[int], list[int]]:
     """Color classes of ``J \\ I``, in original job ids.
 
@@ -104,16 +101,14 @@ def _two_coloring_classes(
     ``weighted=False`` takes the canonical proper coloring verbatim —
     the ablation drops the "inequitable" guarantee the analysis leans on.
     """
-    sub_weights = [weights[v] for v in ids]
     if weighted:
-        c1_local, c2_local = inequitable_two_coloring(
-            graph, sub_weights
-        )
-    else:
-        colors = proper_two_coloring(graph)
-        c1_local = [v for v in range(graph.n) if colors[v] == 0]
-        c2_local = [v for v in range(graph.n) if colors[v] == 1]
-    return [ids[v] for v in c1_local], [ids[v] for v in c2_local]
+        return inequitable_two_coloring(instance.graph, instance.p, rest)
+    sub, ids = instance.graph.induced_subgraph(rest)
+    colors = proper_two_coloring(sub)
+    return (
+        [ids[v] for v in range(sub.n) if colors[v] == 0],
+        [ids[v] for v in range(sub.n) if colors[v] == 1],
+    )
 
 
 def sqrt_approx_ablation(
@@ -194,8 +189,7 @@ def _build_s2(
             k = i + 1
             break
 
-    sub, ids = instance.graph.induced_subgraph(rest)
-    class1, class2 = _two_coloring_classes(sub, ids, instance.p, knobs.weighted_coloring)
+    class1, class2 = _two_coloring_classes(instance, rest, knobs.weighted_coloring)
     w_class1 = sum(instance.p[j] for j in class1)
 
     k_prime = 2

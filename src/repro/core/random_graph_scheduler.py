@@ -105,10 +105,7 @@ def random_graph_schedule_balanced(instance: UniformInstance) -> Schedule:
     graph = instance.graph
     isolated = [v for v in range(n) if graph.degree(v) == 0]
     active = [v for v in range(n) if graph.degree(v) > 0]
-    sub, ids = graph.induced_subgraph(active)
-    c1_local, c2_local = inequitable_two_coloring(sub)
-    class1 = [ids[v] for v in c1_local]
-    class2 = [ids[v] for v in c2_local]
+    class1, class2 = inequitable_two_coloring(graph, vertices=active)
 
     cstar2 = min_cover_time(instance.speeds, n)
     caps = [floor_fraction(s * cstar2) for s in instance.speeds]

@@ -202,11 +202,7 @@ def sqrt_approx_schedule(
                 break
 
         # step 8: inequitable weighted coloring of J \ I
-        sub, ids = instance.graph.induced_subgraph(rest)
-        sub_weights = [instance.p[v] for v in ids]
-        c1_local, c2_local = inequitable_two_coloring(sub, sub_weights)
-        class1 = [ids[v] for v in c1_local]
-        class2 = [ids[v] for v in c2_local]
+        class1, class2 = inequitable_two_coloring(instance.graph, instance.p, rest)
         w_class1 = sum(instance.p[j] for j in class1)
 
         # step 9 (1-based k' in [2, k]): largest prefix of M_2.. within w(J'_1)

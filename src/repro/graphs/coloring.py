@@ -10,11 +10,10 @@ per-component choice is globally optimal.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import NotBipartiteError
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import connected_components
 from repro.graphs.conflict import two_coloring
 
 __all__ = [
@@ -40,6 +39,7 @@ def proper_two_coloring(graph: BipartiteGraph) -> tuple[int, ...]:
 def inequitable_two_coloring(
     graph: BipartiteGraph,
     weights: Sequence[int] | None = None,
+    vertices: Iterable[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Inequitable 2-coloring ``(V'_1, V'_2)`` of Definition 1.
 
@@ -49,8 +49,11 @@ def inequitable_two_coloring(
         The bipartite (incompatibility) graph.
     weights:
         Optional positive vertex weights (job processing requirements in
-        Algorithm 1).  ``None`` means unit weights, i.e. maximise
-        cardinality of ``V'_1``.
+        Algorithm 1), indexed by vertex id.  ``None`` means unit weights,
+        i.e. maximise cardinality of ``V'_1``.
+    vertices:
+        Color the subgraph induced by these vertices (the whole graph by
+        default); no subgraph is built.
 
     Returns
     -------
@@ -58,17 +61,40 @@ def inequitable_two_coloring(
     least that of ``V'_2`` and both classes are independent sets.
     Ties within a component break toward placing the side containing the
     component's smallest vertex into class 1, making output deterministic.
+
+    One traversal finds the components in order of their smallest vertex
+    and splits each by the bipartition witness: a connected bipartite
+    graph has exactly two proper 2-colorings, and the witness restricted
+    to the component is one of them.
     """
-    if weights is not None and len(weights) != graph.n:
+    n = graph.n
+    if weights is not None and len(weights) != n:
         raise ValueError(
-            f"weights has length {len(weights)}, expected {graph.n}"
+            f"weights has length {len(weights)}, expected {n}"
         )
-    base = proper_two_coloring(graph)
+    side = graph.side
+    if vertices is None:
+        todo = bytearray(b"\x01") * n
+    else:
+        todo = bytearray(n)
+        for v in vertices:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range for n={n}")
+            todo[v] = 1
     class1: list[int] = []
     class2: list[int] = []
-    for comp in connected_components(graph):
-        side_a = [v for v in comp if base[v] == 0]  # contains comp[0]
-        side_b = [v for v in comp if base[v] == 1]
+    for root in range(n):
+        if not todo[root]:
+            continue
+        todo[root] = 0
+        comp = [root]
+        for u in comp:  # the list grows while it is read: a BFS
+            for v in graph.neighbors(u):
+                if todo[v]:
+                    todo[v] = 0
+                    comp.append(v)
+        side_a = [v for v in comp if side[v] == side[root]]
+        side_b = [v for v in comp if side[v] != side[root]]
         if weights is None:
             wa, wb = len(side_a), len(side_b)
         else:

@@ -1,11 +1,13 @@
 """Maximum flow / minimum cut via Dinic's algorithm.
 
-This is the substrate behind the maximum-*weight* independent set needed in
-step 2 of Algorithm 1 (the paper cites Orlin [22] for an ``O(|J||E|)`` max
-flow; Dinic's ``O(V^2 E)`` — ``O(E sqrt(V))`` on unit-capacity bipartite
-networks — is more than sufficient at reproduction scale and is exact).
+A generic max flow on an explicit arc list.  Step 2 of Algorithm 1 (the
+paper cites Orlin [22] for an ``O(|J||E|)`` max flow) runs on the flow
+that :func:`repro.graphs.vertex_cover.min_weight_vertex_cover` writes
+for its one network; this module is the independent reference the tests
+compare that flow against.
 
-Capacities are non-negative integers; ``INF`` models uncuttable edges.
+Capacities are non-negative integers; ``INF`` stands in for uncuttable
+edges (see its caveat).
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from collections import deque
 
 __all__ = ["FlowNetwork", "max_flow_min_cut", "INF"]
 
-#: Effectively infinite capacity: larger than any sum of finite capacities
-#: used in this package (total job weight is bounded well below this).
+#: A large finite capacity for arcs a cut should not sever.  It acts as
+#: infinite only while the finite capacities that can cross a cut sum to
+#: less than ``INF``; nothing bounds job weights, so callers with large
+#: weights must pass a larger capacity (e.g. their sum plus one).
 INF = 1 << 60
 
 

@@ -6,9 +6,12 @@ That decomposes into:
 
 1. check that the heavy jobs themselves are independent (else no such set
    exists and Algorithm 1 falls back to the two-machine schedule ``S1``);
-2. delete the closed neighbourhood of the heavy jobs;
+2. mask out the closed neighbourhood of the heavy jobs;
 3. take a maximum-weight independent set of the remainder (complement of a
    minimum-weight vertex cover) and union it with the heavy jobs.
+
+Steps 2 and 3 run on the graph itself: the vertex cover takes the list of
+unmasked vertices, and no subgraph is built.
 """
 
 from __future__ import annotations
@@ -47,17 +50,16 @@ def max_weight_independent_set_containing(
     Returns ``None`` exactly when ``required`` is not itself independent
     (the paper's "if such a set exists" condition).  Otherwise the returned
     set has maximum total weight among independent sets including
-    ``required``.
+    ``required``: ``required`` plus the complement of a minimum-weight
+    vertex cover of the graph with ``N[required]`` masked out.
     """
     req = set(required)
     if not graph.is_independent_set(req):
         return None
     banned = graph.closed_neighborhood(req)
     free = [v for v in range(graph.n) if v not in banned]
-    sub, original_ids = graph.induced_subgraph(free)
-    sub_weights = [weights[v] for v in original_ids]
-    inner = max_weight_independent_set(sub, sub_weights) if sub.n else set()
-    return req | {original_ids[i] for i in inner}
+    cover = min_weight_vertex_cover(graph, weights, free)
+    return req.union(v for v in free if v not in cover)
 
 
 def independence_number(graph: BipartiteGraph) -> int:

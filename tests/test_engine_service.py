@@ -145,6 +145,24 @@ class TestSolveRequests:
         assert why["r2_two_approx"] == why["r2_fptas"]
 
 
+def test_job_sizes_past_two_to_the_sixty_stay_feasible():
+    """Algorithm 1's step 2 used to cut an edge once the free weights
+    passed ``flow.INF = 2**60`` and returned an infeasible schedule."""
+    from repro.graphs.bipartite import BipartiteGraph
+    from repro.scheduling.instance import UniformInstance
+
+    inst = UniformInstance(
+        BipartiteGraph.from_parts(3, 2, [(0, 0), (2, 1)]),
+        [2**61, 2**122, 2**61, 2**61, 2**61],
+        [3, 2, 1],
+    )
+    line = json.dumps({"op": "solve", "id": 1, "instance": instance_to_dict(inst)})
+    response = json.loads(EngineService().handle_line(line))
+    assert response["ok"] is True, response.get("error")
+    assert response["feasible"] is True
+    assert response["chosen"] == "sqrt_approx"
+
+
 def _k11(kind, **numbers):
     graph = {
         "format": "repro/v1",

@@ -85,6 +85,20 @@ class TestWeightedCover:
         cover = min_weight_vertex_cover(g, [1] * 8)
         assert cover == {0, 1}
 
+    def test_weights_past_two_to_the_sixty(self):
+        """Free weights summing past ``flow.INF`` used to cut the edge
+        arc: the "cover" came back empty."""
+        g = BipartiteGraph.from_parts(1, 1, [(0, 0)])
+        cover = min_weight_vertex_cover(g, [2**61, 2**61])
+        assert is_vertex_cover(g, cover) and len(cover) == 1
+
+    def test_induced_subgraph_by_vertex_list(self):
+        g = path_graph(5)
+        assert min_weight_vertex_cover(g, [1, 9, 1, 9, 1], [0, 1, 2]) == {0, 2}
+        assert min_weight_vertex_cover(g, [1, 9, 1, 9, 1], [3, 4]) == {4}
+        with pytest.raises(ValueError):
+            min_weight_vertex_cover(g, [1] * 5, [5])
+
 
 class TestIsVertexCover:
     def test_detects_uncovered_edge(self):
