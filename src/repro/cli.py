@@ -214,14 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="default algorithm for entries without their own",
     )
     bat.add_argument("--workers", type=int, default=1, help="worker process count")
-    bat.add_argument(
-        "--chunk-jobs", type=int, default=256,
-        help="submissions drawn per scheduling round",
-    )
     bat.add_argument("--out", type=str, default=None, help="results JSONL path")
     bat.add_argument(
         "--cache", type=str, default=None,
-        help="persistent result cache (JSONL; created on first run)",
+        help="persistent result cache: an existing directory holds a "
+        "sharded cache, any other path a JSONL file (created on first run)",
     )
     bat.add_argument(
         "--no-summary", action="store_true",
@@ -543,13 +540,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     runner = BatchRunner(
         algorithm=args.algorithm,
         workers=args.workers,
-        chunk_jobs=args.chunk_jobs,
         cache=args.cache,
         certify=args.certify,
     )
     start = time.perf_counter()
     results = []
     with contextlib.ExitStack() as stack:
+        stack.enter_context(runner)
         fh = (
             stack.enter_context(Path(args.out).open("w", encoding="utf-8"))
             if args.out

@@ -16,13 +16,19 @@ everywhere) and the module-level :data:`REGISTRY` is pre-populated with
 the paper's algorithm family; :data:`ALGORITHMS` is the same object under
 its historical name.
 
-Note for multiprocessing users: worker processes (``repro batch
---workers N``, ``repro serve --port P --workers N``) see a plugin
-registered at run time only when they are forked after the
-registration; under the ``spawn`` or ``forkserver`` start methods they
-re-import this module, so register at import time of a module the
-workers also import.  The in-process paths (``solve``, the portfolio,
-``repro serve`` with one worker) have no such restriction.
+Note for multiprocessing users: the worker processes of the
+``ProcessPoolExecutor`` behind ``repro batch --workers N`` and ``repro
+serve --port P --workers N`` see a plugin registered at run time only
+when they are forked after the registration; under the ``spawn`` or
+``forkserver`` start methods they re-import this module, so register at
+import time of a module the workers also import.  The in-process paths
+(``solve``, the portfolio, ``repro serve`` with one worker) have no such
+restriction.  A plugin that raises or returns no schedule costs its
+request or batch item one error record
+(:func:`repro.engine.service.solve_payload`).  One that kills its worker
+process breaks the pool: each solve still pending on it gets a
+``BrokenProcessPool`` error, which the batch does not cache, so a re-run
+retries the item.
 """
 
 from __future__ import annotations

@@ -44,6 +44,8 @@ from repro.engine.portfolio import portfolio_solve
 from repro.exceptions import CacheCollisionError, ReproError
 from repro.io import frac_str, instance_from_dict
 from repro.runtime.cache import ResultCache, ShardedResultCache, task_key
+from repro.scheduling.instance import SchedulingInstance
+from repro.scheduling.schedule import Schedule
 
 __all__ = [
     "SERVE_FORMAT",
@@ -53,6 +55,7 @@ __all__ = [
     "ServeProtocol",
     "EngineService",
     "parse_solve_request",
+    "solve_payload",
     "build_solve_record",
     "failed_record",
 ]
@@ -237,6 +240,42 @@ class SolveJob(NamedTuple):
     key: str
 
 
+def solve_payload(
+    payload: Any, algorithm: str, portfolio_k: int | None = None
+) -> tuple[SchedulingInstance | None, str | None, Schedule | None, float, str | None]:
+    """Decode and solve one payload: the solve path of every tier.
+
+    Returns ``(instance, chosen, schedule, wall_time_s, error)``.  The
+    solve is named, ``auto`` (resolved by :func:`auto_choice`) or, with
+    ``portfolio_k``, a portfolio race; ``wall_time_s`` times it.  Never
+    raises: on any failure ``schedule`` is ``None``, ``error`` is worded
+    as :func:`failed_record` words it, ``wall_time_s`` is ``0.0``, and
+    ``instance`` and ``chosen`` keep what was resolved before the
+    failure.  Module-level, so a worker process can run it.
+    """
+    instance: SchedulingInstance | None = None
+    chosen: str | None = None
+    try:
+        instance = instance_from_dict(payload)
+        start = perf_counter()
+        if portfolio_k is not None:
+            result = portfolio_solve(instance, k=portfolio_k)
+            chosen, schedule = result.chosen, result.schedule
+        else:
+            chosen = auto_choice(instance) if algorithm == "auto" else algorithm
+            schedule = solve(instance, algorithm=chosen)
+        wall = perf_counter() - start
+        # every record reads the makespan: reading it here turns a plugin
+        # that returns no Schedule, or one whose makespan cannot be
+        # computed, into an error rather than a record shaper's exception
+        schedule.makespan
+    except Exception as exc:  # noqa: BLE001 — malformed payloads raise
+        # KeyError/ValueError and plugins anything; every solve ends in a
+        # result or an error
+        return instance, chosen, None, 0.0, failed_record(exc)["error"]
+    return instance, chosen, schedule, wall, None
+
+
 def build_solve_record(
     payload: dict[str, Any],
     algorithm: str,
@@ -250,41 +289,33 @@ def build_solve_record(
     Module-level, with the reply ``id`` left ``None``, so the TCP tier
     can run it in a worker process.
     """
-    try:
-        instance = instance_from_dict(payload)
-        start = perf_counter()
-        if portfolio_k is not None:
-            result = portfolio_solve(instance, k=portfolio_k)
-            chosen, schedule = result.chosen, result.schedule
-        else:
-            chosen = auto_choice(instance) if algorithm == "auto" else algorithm
-            schedule = solve(instance, algorithm=chosen)
-        wall = perf_counter() - start
-        cache_algorithm = (
-            f"portfolio:{portfolio_k}" if portfolio_k is not None else algorithm
-        )
-        return {
-            "format": SERVE_FORMAT,
-            "kind": "serve_result",
-            "id": None,
-            "ok": True,
-            "key": key,
-            "algorithm": cache_algorithm,
-            "chosen": chosen,
-            "n": instance.n,
-            "m": instance.m,
-            "edges": instance.graph.edge_count,
-            "makespan": frac_str(schedule.makespan),
-            "makespan_float": _float_or_none(schedule.makespan),
-            "feasible": schedule.is_feasible(),
-            "assignment": list(schedule.assignment),
-            "cached": False,
-            "wall_time_s": wall,
-            "error": None,
-        }
-    except Exception as exc:  # noqa: BLE001 — malformed payloads raise
-        # KeyError/ValueError, not ReproError; every solve ends in a record
-        return failed_record(exc)
+    instance, chosen, schedule, wall, error = solve_payload(
+        payload, algorithm, portfolio_k
+    )
+    if instance is None or schedule is None:
+        return {"ok": False, "error": error}
+    cache_algorithm = (
+        f"portfolio:{portfolio_k}" if portfolio_k is not None else algorithm
+    )
+    return {
+        "format": SERVE_FORMAT,
+        "kind": "serve_result",
+        "id": None,
+        "ok": True,
+        "key": key,
+        "algorithm": cache_algorithm,
+        "chosen": chosen,
+        "n": instance.n,
+        "m": instance.m,
+        "edges": instance.graph.edge_count,
+        "makespan": frac_str(schedule.makespan),
+        "makespan_float": _float_or_none(schedule.makespan),
+        "feasible": schedule.is_feasible(),
+        "assignment": list(schedule.assignment),
+        "cached": False,
+        "wall_time_s": wall,
+        "error": None,
+    }
 
 
 class ServeProtocol:

@@ -5,10 +5,13 @@ instance, call :func:`repro.engine.solve`, time it, compute a lower
 bound, collect a row.  :class:`BatchRunner` centralises that loop and
 adds the throughput machinery the one-at-a-time path cannot offer:
 
-* **fan-out** across a :mod:`multiprocessing` worker pool with chunked
-  task batching and a persistent pool reused across :meth:`BatchRunner.run`
-  calls (``workers=1`` stays in-process, exactly reproducing the
-  sequential semantics);
+* **fan-out** across a :class:`~concurrent.futures.ProcessPoolExecutor`
+  reused across :meth:`BatchRunner.run` calls (``workers=1`` stays
+  in-process, exactly reproducing the sequential semantics).  Tasks are
+  solved by :func:`repro.engine.service.solve_payload`, as serve
+  requests are, so a malformed payload or a failing algorithm costs one
+  error record, not the batch.  A worker that dies gives each task it
+  lost a ``BrokenProcessPool`` error record, which is not cached;
 * **deduplication** — semantically identical (instance, algorithm)
   tasks are solved once per batch, keyed by the canonical content hash
   of :mod:`repro.runtime.cache`;
@@ -26,25 +29,22 @@ cache warmth — properties the test-suite pins down.
 
 from __future__ import annotations
 
-import multiprocessing
-import weakref
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.certify.validators import instance_lower_bound
-from repro.engine.dispatch import auto_choice, solve
-from repro.exceptions import InvalidInstanceError, ReproError
-from repro.io import (
-    dump_jsonl_line,
-    frac_str as _frac_str,
-    instance_from_dict,
-    instance_to_dict,
-)
-from repro.runtime.cache import ResultCache, task_key
+
+# a module, not its names: repro.engine.service imports repro.runtime
+# (and so this module) before it defines solve_payload
+from repro.engine import service
+from repro.exceptions import InvalidInstanceError
+from repro.io import dump_jsonl_line, frac_str as _frac_str, instance_to_dict
+from repro.runtime.cache import ResultCache, ShardedResultCache, task_key
 from repro.scheduling.instance import SchedulingInstance
 
 __all__ = [
@@ -56,6 +56,13 @@ __all__ = [
 ]
 
 RESULT_FORMAT = "repro/batch-result/v1"
+
+#: submissions drawn from the input per scheduling round; bounds driver
+#: memory on huge streams
+CHUNK_JOBS = 256
+
+#: one deduplicated solve: ``(key, payload, algorithm, certify)``
+_Task = tuple[str, Any, str, bool]
 
 
 class BatchTask(NamedTuple):
@@ -177,21 +184,10 @@ class BatchStats:
     wall_time_s: float = 0.0
 
 
-def _solve_task(
-    task: tuple[str, dict[str, Any], str, bool]
-) -> tuple[str, dict[str, Any]]:
-    """Worker entry point: solve one deduplicated task.
-
-    Must stay module-level (picklable).  Returns the cache-shape record;
-    the driver stamps per-submission fields (index, name, cached).  With
-    the certify flag set, the schedule is audited through
-    :func:`repro.certify.certify_schedule` and the certificate dict is
-    stored on the record (certification time is not billed to the
-    solver's ``wall_time_s``).
-    """
-    key, payload, algorithm, certify = task
-    instance = instance_from_dict(payload)
-    record: dict[str, Any] = {
+def _record(task: _Task, error: str | None) -> dict[str, Any]:
+    """The cache-shape record of ``task`` with no solve result in it."""
+    key, payload, algorithm, _ = task
+    return {
         "format": RESULT_FORMAT,
         "kind": "batch_result",
         "index": -1,
@@ -199,33 +195,49 @@ def _solve_task(
         "key": key,
         "algorithm": algorithm,
         "chosen": None,
-        "instance_kind": str(payload.get("kind")),
-        "n": instance.n,
-        "m": instance.m,
-        "edges": instance.graph.edge_count,
+        # a payload that is not an object has no kind to report
+        "instance_kind": str(payload.get("kind") if isinstance(payload, dict) else None),
+        "n": 0,
+        "m": 0,
+        "edges": 0,
         "makespan": None,
         "lower_bound": None,
         "ratio": None,
         "feasible": False,
         "wall_time_s": 0.0,
         "cached": False,
-        "error": None,
+        "error": error,
         "certificate": None,
     }
-    try:
-        chosen = auto_choice(instance) if algorithm == "auto" else algorithm
-        record["chosen"] = chosen
-        start = perf_counter()
-        schedule = solve(instance, algorithm=chosen)
-        record["wall_time_s"] = perf_counter() - start
-    except ReproError as exc:
-        record["error"] = str(exc)
-        return key, record
-    record["feasible"] = schedule.is_feasible()
-    record["makespan"] = _frac_str(schedule.makespan)
+
+
+def _solve_task(task: _Task) -> dict[str, Any]:
+    """Worker entry point: solve one deduplicated task.
+
+    Must stay module-level (picklable).  Returns the cache-shape record;
+    the driver stamps per-submission fields (index, name, cached).  A
+    payload that does not decode gives ``n = m = edges = 0`` and the
+    decode error.  With the certify flag set, the schedule is audited
+    through :func:`repro.certify.certify_schedule` and the certificate
+    dict is stored on the record (certification time is not billed to
+    the solver's ``wall_time_s``).
+    """
+    _, payload, algorithm, certify = task
+    instance, chosen, schedule, wall, error = service.solve_payload(payload, algorithm)
+    record = _record(task, error)
+    record["chosen"] = chosen
+    if instance is not None:
+        record.update(n=instance.n, m=instance.m, edges=instance.graph.edge_count)
+    if instance is None or schedule is None:
+        return record
     lower = instance_lower_bound(instance)
-    record["lower_bound"] = _frac_str(lower)
-    if lower is not None and lower > 0 and schedule.makespan is not None:
+    record.update(
+        makespan=_frac_str(schedule.makespan),
+        lower_bound=_frac_str(lower),
+        feasible=schedule.is_feasible(),
+        wall_time_s=wall,
+    )
+    if lower is not None and lower > 0:
         record["ratio"] = float(schedule.makespan / lower)
     if certify:
         from repro.certify import certify_schedule
@@ -233,13 +245,7 @@ def _solve_task(
         record["certificate"] = certify_schedule(
             schedule, algorithm=chosen
         ).to_dict()
-    return key, record
-
-
-def _shutdown_pool(pool: multiprocessing.pool.Pool) -> None:
-    """Terminate and reap one worker pool (module-level: finalizer-safe)."""
-    pool.terminate()
-    pool.join()
+    return record
 
 
 class BatchRunner:
@@ -252,21 +258,21 @@ class BatchRunner:
         (``"auto"`` applies the registry's dispatch policy per instance).
     workers:
         Process count.  ``1`` (default) solves in-process; ``>1`` fans
-        tasks out over a :class:`multiprocessing.Pool` that lives
-        across :meth:`run` calls — forking costs tens of milliseconds,
-        which would dominate sweeps of many small batches.  Workers
-        hold no task state between chunks, so results are unaffected.
-        The pool is torn down by :meth:`close`, ``with`` exit, or
-        garbage collection.
-    chunk_jobs:
-        How many submissions are drawn from the input iterable per
-        scheduling round; bounds driver memory on huge streams.
+        tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+        that lives across :meth:`run` calls — forking costs tens of
+        milliseconds, which would dominate sweeps of many small batches.
+        Workers hold no task state between tasks, so results are
+        unaffected.  A worker that dies breaks the pool, and the next
+        chunk starts a fresh one.  The pool is shut down by
+        :meth:`close`, ``with`` exit, or garbage collection.
     cache:
-        ``None`` (dedup only within the run), a path (JSONL-backed
-        persistent cache), or a ready cache object — a
-        :class:`ResultCache`, a lazily-loaded
+        ``None`` (dedup only within the run), a path, or a ready cache
+        object — a :class:`ResultCache`, a lazily-loaded
         :class:`~repro.runtime.cache.ShardedResultCache`, or anything
-        with their ``in``/``record``/``put`` protocol.
+        with their ``in``/``record``/``put`` protocol.  An existing
+        directory opens as a sharded cache, as ``repro serve
+        --cache-dir`` does; any other path is a JSONL file, created on
+        the first result.
     certify:
         Audit every produced schedule through :mod:`repro.certify` and
         store the certificate on the result record (per-task
@@ -287,57 +293,37 @@ class BatchRunner:
         self,
         algorithm: str = "auto",
         workers: int = 1,
-        chunk_jobs: int = 256,
         cache: ResultCache | str | Path | None = None,
         certify: bool = False,
     ) -> None:
         if workers < 1:
             raise InvalidInstanceError(f"workers must be >= 1, got {workers}")
-        if chunk_jobs < 1:
-            raise InvalidInstanceError(f"chunk_jobs must be >= 1, got {chunk_jobs}")
         self.algorithm = algorithm
         self.workers = workers
-        self.chunk_jobs = chunk_jobs
         self.certify = certify
-        if cache is None or isinstance(cache, (str, Path)):
-            self.cache: Any = ResultCache(cache)
+        if cache is None:
+            self.cache: Any = ResultCache(None)
+        elif isinstance(cache, (str, Path)):
+            path = Path(cache)
+            self.cache = ShardedResultCache(path) if path.is_dir() else ResultCache(path)
         else:
             self.cache = cache
         self.stats = BatchStats()
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._pool_finalizer: weakref.finalize | None = None
+        self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
     # worker-pool lifecycle
     # ------------------------------------------------------------------ #
 
-    def _acquire_pool(self) -> multiprocessing.pool.Pool | None:
-        """The pool for one :meth:`run` (``None`` when in-process).
-
-        Created lazily on first use and reused by every later run; a
-        :mod:`weakref` finalizer guarantees the worker processes die
-        with the runner even when :meth:`close` is never called.
-        """
-        if self.workers == 1:
-            return None
-        if self._pool is None:
-            pool = multiprocessing.Pool(self.workers)
-            self._pool = pool
-            self._pool_finalizer = weakref.finalize(self, _shutdown_pool, pool)
-        return self._pool
-
     def close(self) -> None:
-        """Terminate the persistent worker pool (idempotent).
+        """Shut the worker pool down and reap its processes (idempotent).
 
         In-process runners (``workers=1``) and already-closed runners
         accept the call as a no-op; the runner itself stays usable — the
-        next parallel :meth:`run` simply forks a fresh pool.
+        next parallel chunk simply starts a fresh pool.
         """
         if self._pool is not None:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            _shutdown_pool(self._pool)
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "BatchRunner":
@@ -382,9 +368,10 @@ class BatchRunner:
         ----------
         items:
             Any mix of the accepted item shapes (see the class
-            docstring); consumed lazily in ``chunk_jobs``-sized rounds.
-            Within each round, unseen tasks are solved (possibly in
-            parallel) before any of the round's results are yielded.
+            docstring); consumed lazily in rounds of
+            :data:`CHUNK_JOBS` submissions.  Within each round, unseen
+            tasks are solved (possibly in parallel) before any of the
+            round's results are yielded.
 
         Yields
         ------
@@ -400,20 +387,12 @@ class BatchRunner:
         """
         self.stats = BatchStats()
         iterator = enumerate(items)
-        pool = self._acquire_pool()
-        while True:
-            chunk = list(islice(iterator, self.chunk_jobs))
-            if not chunk:
-                break
-            yield from self._run_chunk(chunk, pool)
+        while chunk := list(islice(iterator, CHUNK_JOBS)):
+            yield from self._run_chunk(chunk)
 
-    def _run_chunk(
-        self,
-        chunk: list[tuple[int, Any]],
-        pool: multiprocessing.pool.Pool | None,
-    ) -> Iterator[BatchResult]:
+    def _run_chunk(self, chunk: list[tuple[int, Any]]) -> Iterator[BatchResult]:
         prepared: list[tuple[int, BatchTask, str, bool]] = []
-        to_solve: list[tuple[str, dict[str, Any], str, bool]] = []
+        to_solve: list[_Task] = []
         scheduled: set[str] = set()
         for index, item in chunk:
             task = self._normalize(item, index)
@@ -426,17 +405,18 @@ class BatchRunner:
                 to_solve.append((key, task.payload, algorithm, certify))
             prepared.append((index, task, key, fresh))
 
-        if to_solve:
-            if pool is None:
-                solved = map(_solve_task, to_solve)
+        solved: dict[str, dict[str, Any]] = {}
+        for job, outcome in zip(to_solve, self._solve(to_solve)):
+            key = job[0]
+            if isinstance(outcome, BrokenProcessPool):
+                # lost with its worker: not cached, so a re-run retries it
+                solved[key] = _record(job, service.failed_record(outcome)["error"])
             else:
-                chunksize = max(1, len(to_solve) // (self.workers * 4))
-                solved = pool.imap_unordered(_solve_task, to_solve, chunksize)
-            for key, record in solved:
-                self.cache.put(key, record)
+                solved[key] = outcome
+                self.cache.put(key, outcome)
 
         for index, task, key, fresh in prepared:
-            record = dict(self.cache.record(key))
+            record = dict(solved[key] if key in solved else self.cache.record(key))
             record["index"] = index
             record["name"] = task.name
             record["cached"] = not fresh
@@ -452,6 +432,30 @@ class BatchRunner:
             if result.error is not None:
                 self.stats.errors += 1
             yield result
+
+    def _solve(
+        self, tasks: list[_Task]
+    ) -> list[dict[str, Any] | BrokenProcessPool]:
+        """Each task's record, or the error that lost it with its worker.
+
+        In-process when ``workers == 1``, otherwise on the pool, about
+        four chunks per worker.  A dead worker breaks the pool: every
+        task without a record by then is lost with it, and the broken
+        pool is closed so that the next chunk starts a fresh one.
+        """
+        if self.workers == 1 or not tasks:
+            return [_solve_task(task) for task in tasks]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        chunksize = max(1, len(tasks) // (self.workers * 4))
+        outcomes: list[dict[str, Any] | BrokenProcessPool] = []
+        try:
+            for record in self._pool.map(_solve_task, tasks, chunksize=chunksize):
+                outcomes.append(record)
+        except BrokenProcessPool as exc:
+            outcomes.extend([exc] * (len(tasks) - len(outcomes)))
+            self.close()
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # convenience drivers

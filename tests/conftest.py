@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +19,32 @@ from repro.scheduling.instance import UniformInstance, UnrelatedInstance
 def rng() -> np.random.Generator:
     """A deterministic generator, fresh per test."""
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def pool_guard():
+    """For tests that start worker processes: no hang, no process left behind.
+
+    A test still running after 60 s has its new worker processes killed
+    and the test process interrupted, so a hung pool stops the run with a
+    traceback of where it waited, instead of stalling it.  A worker
+    process still alive at teardown fails the test.
+    """
+    before = set(multiprocessing.active_children())
+
+    def expire() -> None:
+        for child in set(multiprocessing.active_children()) - before:
+            child.kill()
+        os.kill(os.getpid(), signal.SIGINT)
+
+    watchdog = threading.Timer(60, expire)
+    watchdog.daemon = True
+    watchdog.start()
+    try:
+        yield
+    finally:
+        watchdog.cancel()
+    assert not set(multiprocessing.active_children()) - before
 
 
 def random_bipartite(rng: np.random.Generator, max_side: int = 8, p: float | None = None) -> BipartiteGraph:

@@ -1,17 +1,30 @@
 """Tests for :mod:`repro.runtime` — the batch execution engine."""
 
+import hashlib
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.runtime.batch as batch_module
+from repro.engine import AlgorithmSpec, Capability, register_algorithm, unregister_algorithm
 from repro.exceptions import InvalidInstanceError
 from repro.graphs import generators
-from repro.io import instance_to_dict, read_jsonl, save_instance
+from repro.io import dump_jsonl_line, instance_to_dict, read_jsonl, save_instance
 from repro.runtime import (
     BatchResult,
     BatchRunner,
     BatchTask,
     ResultCache,
+    ShardedResultCache,
     build_family_graph,
     expand_specs,
     load_spec_file,
@@ -22,6 +35,7 @@ from repro.scheduling.instance import (
     identical_instance,
     unit_uniform_instance,
 )
+from repro.scheduling.schedule import Schedule
 from repro.engine import auto_choice, solve
 
 
@@ -117,19 +131,29 @@ class TestBatchRunner:
         assert [r.cached for r in results] == [False, True, True, True, True]
         assert len({r.makespan for r in results}) == 1
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, pool_guard):
         items = small_instances(8)
         sequential = BatchRunner(workers=1).run_to_list(items)
-        parallel = BatchRunner(workers=2).run_to_list(items)
+        with BatchRunner(workers=2) as runner:
+            parallel = runner.run_to_list(items)
         key = lambda r: (r.index, r.name, r.key, r.chosen, r.makespan,
                          r.lower_bound, r.ratio, r.feasible, r.error)
         assert [key(r) for r in sequential] == [key(r) for r in parallel]
 
-    def test_cached_rerun_is_deterministic(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cache_name, cache_type",
+        [("cache.jsonl", ResultCache), ("shards", ShardedResultCache)],
+    )
+    def test_cached_rerun_is_deterministic(self, tmp_path, cache_name, cache_type):
         items = small_instances(6)
-        cache_path = tmp_path / "cache.jsonl"
+        cache_path = tmp_path / cache_name
+        if cache_type is ShardedResultCache:
+            # an existing directory opens as a sharded cache, as for
+            # `repro serve --cache-dir`; a path not there yet is a JSONL file
+            cache_path.mkdir()
         first = BatchRunner(cache=cache_path).run_to_list(items)
-        runner = BatchRunner(cache=cache_path)
+        runner = BatchRunner(cache=str(cache_path))
+        assert type(runner.cache) is cache_type
         second = runner.run_to_list(items)
         assert runner.stats.solved == 0
         assert all(r.cached for r in second)
@@ -175,8 +199,225 @@ class TestBatchRunner:
     def test_rejects_bad_config(self):
         with pytest.raises(InvalidInstanceError):
             BatchRunner(workers=0)
-        with pytest.raises(InvalidInstanceError):
-            BatchRunner(chunk_jobs=0)
+
+
+def _raise_plugin_bug(instance):
+    raise ValueError("plugin bug")
+
+
+@pytest.fixture
+def failing_plugins():
+    """Registered plugins that fail: one raises, one returns no schedule,
+    and one returns a schedule whose makespan cannot be computed."""
+    names = {
+        "plugin_raises": _raise_plugin_bug,
+        "plugin_none": lambda instance: None,
+        "plugin_forbidden": lambda instance: Schedule(instance, [0] * instance.n, check=False),
+    }
+    for name, run in names.items():
+        register_algorithm(
+            AlgorithmSpec(
+                name=name, guarantee="none (test)", anchor="test", run=run,
+                capability=Capability(supports_eligibility=True),
+            )
+        )
+    try:
+        yield
+    finally:
+        for name in names:
+            unregister_algorithm(name)
+
+
+def _bad_items():
+    """One item per way a single item can fail, with the error it must give."""
+    _, inst = small_instances(1)[0]
+    payload = instance_to_dict(inst)
+    no_graph = {k: v for k, v in payload.items() if k != "graph"}
+    forbidden = instance_to_dict(
+        UnrelatedInstance(generators.matching_graph(2), [[None, 1, 2, 3], [1, 1, 1, 1]])
+    )
+    return {
+        "string-p": (BatchTask("bad", dict(payload, p=["x"] * inst.n)), "must be an int"),
+        "non-object": (BatchTask("bad", 5), "expected a JSON object"),
+        "no-graph": (BatchTask("bad", no_graph), "KeyError('graph')"),
+        "unknown-algorithm": (("bad", payload, "no_such_algorithm"), "unknown algorithm"),
+        "plugin-raises": (("bad", payload, "plugin_raises"), "ValueError: plugin bug"),
+        "plugin-none": (("bad", payload, "plugin_none"), "NoneType"),
+        "plugin-forbidden": (("bad", forbidden, "plugin_forbidden"), "job 0 is forbidden"),
+    }
+
+
+class TestPerItemFailures:
+    """One failing item costs one error record, in its place; the batch goes on."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_bad_items()))
+    def test_one_error_record_in_place(self, case, workers, failing_plugins, pool_guard):
+        if (
+            workers > 1
+            and case.startswith("plugin")
+            and multiprocessing.get_start_method() != "fork"
+        ):
+            pytest.skip("workers see a plugin registered at run time only under fork")
+        bad, message = _bad_items()[case]
+        good = small_instances(3)[1:]
+        with BatchRunner(workers=workers) as runner:
+            results = runner.run_to_list([good[0], bad, good[1]])
+        assert [r.name for r in results] == ["match-1", "bad", "match-2"]
+        assert [r.error is None for r in results] == [True, False, True]
+        assert all(r.feasible and r.makespan is not None for r in (results[0], results[2]))
+        error = results[1]
+        assert error.makespan is None and not error.feasible
+        assert message in error.error
+        if case in ("string-p", "non-object", "no-graph"):
+            assert (error.n, error.m, error.edges) == (0, 0, 0)
+        assert runner.stats.errors == 1 and runner.stats.solved == 3
+
+    def test_plugin_error_worded_as_the_serve_tier_words_it(self, failing_plugins):
+        from repro.engine import EngineService
+
+        _, inst = small_instances(1)[0]
+        request = {"op": "solve", "instance": instance_to_dict(inst),
+                   "algorithm": "plugin_raises"}
+        reply = EngineService().handle_request(request)
+        (record,) = BatchRunner().run_to_list([("bad", request["instance"], "plugin_raises")])
+        assert reply["error"] == record.error == "ValueError: plugin bug"
+
+
+#: the child interpreter of the dead-worker test: a plugin that kills its
+#: worker the first time it runs, among good items, twice on one runner
+_DEAD_WORKER_CHILD = """
+import json, multiprocessing, os, sys, time
+from fractions import Fraction
+from repro.engine import AlgorithmSpec, Capability, register_algorithm, solve
+from repro.graphs import generators
+from repro.runtime import BatchRunner, ResultCache
+from repro.scheduling.instance import unit_uniform_instance
+
+flag = sys.argv[1]
+
+def die_once(instance):
+    if not os.path.exists(flag):
+        open(flag, "w").close()
+        os._exit(1)
+    return solve(instance)
+
+register_algorithm(AlgorithmSpec(
+    name="die_once", guarantee="none (test)", anchor="test", run=die_once,
+    capability=Capability(machine_kind="uniform")))
+items = [(f"good-{i}", unit_uniform_instance(
+    generators.matching_graph(2 + i), [Fraction(2), Fraction(1)])) for i in range(8)]
+items.insert(3, ("crash", items[0][1], "die_once"))
+runner = BatchRunner(workers=2, cache=ResultCache())
+start = time.perf_counter()
+first = runner.run_to_list(items)
+seconds = time.perf_counter() - start
+first_errors = runner.stats.errors
+second = runner.run_to_list(items)
+runner.close()
+print(json.dumps({
+    "seconds": seconds,
+    "first": {r.name: r.error for r in first},
+    "first_errors": first_errors,
+    "second": {r.name: [r.error, r.cached] for r in second},
+    "children": len(multiprocessing.active_children()),
+}))
+"""
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see a plugin registered at run time only under fork",
+)
+def test_dead_worker_costs_error_records_not_the_batch(tmp_path):
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # a session of its own, so that a hang can be killed with every worker
+    with subprocess.Popen(
+        [sys.executable, "-c", _DEAD_WORKER_CHILD, str(tmp_path / "died")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a batch with a dead worker hung")
+    assert child.returncode == 0, err
+    report = json.loads(out)
+    assert report["seconds"] < 10
+    first = report["first"]
+    assert first["crash"].startswith("BrokenProcessPool: ")
+    # every other task either finished before the pool broke or was lost
+    # with it, and then carries the same typed error
+    lost = {name for name, error in first.items() if error is not None}
+    assert all(first[name].startswith("BrokenProcessPool: ") for name in lost)
+    assert report["first_errors"] == len(lost)
+    # lost records were not cached: the re-run retries exactly those tasks
+    # and solves every item
+    assert report["second"] == {
+        name: [None, name not in lost] for name in first
+    }
+    assert report["children"] == 0
+
+
+class _BreaksAfterOneTask:
+    """A stand-in pool that solves its first task and then breaks."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def map(self, fn, tasks, chunksize):
+        yield fn(tasks[0])
+        raise BrokenProcessPool("A child process terminated abruptly")
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+def test_tasks_lost_with_the_pool_are_retried(monkeypatch):
+    """Every task without a record when the pool breaks gets an uncached typed error."""
+    monkeypatch.setattr(batch_module, "ProcessPoolExecutor", _BreaksAfterOneTask)
+    runner = BatchRunner(workers=2)
+    first = runner.run_to_list(small_instances(3))
+    assert first[0].error is None
+    assert all(r.error.startswith("BrokenProcessPool: ") for r in first[1:])
+    assert runner._pool is None  # closed: the next chunk starts a fresh pool
+    second = runner.run_to_list(small_instances(3))
+    assert [(r.cached, r.error is None) for r in second] == [
+        (True, True), (False, True), (False, False)
+    ]
+
+
+CORPUS = Path(__file__).resolve().parent / "fixtures" / "differential" / "corpus.jsonl"
+
+#: sha256 of the batch JSONL over the frozen corpus, by ``certify``
+CORPUS_DIGESTS = {
+    False: "d2484f1ae0428419fb62bf1691918aab5047bb9e008974bac2e8c72f39917ab2",
+    True: "8bb84fe6a9a22688d88902540ebc797f457d82bee107c55256e1d9394d9650d6",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+def test_corpus_output_bytes_pinned(workers, certify, pool_guard):
+    """The batch JSONL bytes over the frozen corpus, timing and key aside.
+
+    ``key`` hashes the package version, so it is left out.
+    """
+    with CORPUS.open(encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    tasks = [BatchTask(record["id"], record["instance"]) for record in records]
+    digest = hashlib.sha256()
+    with BatchRunner(workers=workers, certify=certify) as runner:
+        for result in runner.run(tasks):
+            line = dict(result.to_dict(), wall_time_s=0.0)
+            del line["key"]
+            digest.update((dump_jsonl_line(line) + "\n").encode("utf-8"))
+    assert len(tasks) == 68
+    assert digest.hexdigest() == CORPUS_DIGESTS[certify]
 
 
 class TestJsonlRoundTrip:
@@ -318,6 +559,7 @@ def _fanout_tasks(runs: int, per_run: int):
     ]
 
 
+@pytest.mark.usefixtures("pool_guard")
 class TestPersistentPool:
     def test_pool_results_match_in_process_runs(self):
         reference = [
