@@ -65,7 +65,7 @@ from repro.scheduling.bounds import min_cover_time_with_loads
 from repro.scheduling.instance import SchedulingInstance, UniformInstance, UnrelatedInstance
 from repro.scheduling.schedule import Schedule
 from repro.certify.validators import instance_lower_bound
-from repro.utils.rationals import _to_grid, speed_grid, time_grid
+from repro.utils.rationals import _to_grid, speed_grid
 
 __all__ = ["OracleResult", "certified_optimal", "certified_optimal_makespan"]
 
@@ -161,14 +161,14 @@ def _quantum(instance: SchedulingInstance) -> int:
     Every reachable makespan is ``load * den_i / num_i`` (uniform; the
     capacity-bound tail spans hit the same grid) or a sum of processing
     times (unrelated), so multiplying by the lcm of the speed
-    numerators (:func:`~repro.utils.rationals.speed_grid`) resp. of the
-    time denominators (:func:`~repro.utils.rationals.time_grid`) always
-    lands on an integer.
+    numerators (:func:`~repro.utils.rationals.speed_grid`) resp. by the
+    instance's own time scale (:attr:`UnrelatedInstance.scale`, the lcm
+    of the time denominators) always lands on an integer.
     """
     if isinstance(instance, UniformInstance):
         return speed_grid(instance.speeds)[0]
     if isinstance(instance, UnrelatedInstance):
-        return time_grid(instance.times)[0]
+        return instance.scale
     raise ReproError(f"no integer grid for {type(instance).__name__}")
 
 
@@ -214,14 +214,19 @@ class _SearchContext:
             self.speeds = ()
             self.p = ()
             self.unit_time = ()
-        self.times: list[list[int | None]] = [
-            [
-                None if (t := instance.processing_time(i, j)) is None
-                else _to_grid(t, quantum)
-                for j in range(n)
+        self.times: list[list[int | None]]
+        if isinstance(instance, UnrelatedInstance):
+            # the quantum is the instance's own scale: the times are its ticks
+            self.times = [list(row) for row in instance.ticks]
+        else:
+            self.times = [
+                [
+                    None if (t := instance.processing_time(i, j)) is None
+                    else _to_grid(t, quantum)
+                    for j in range(n)
+                ]
+                for i in range(m)
             ]
-            for i in range(m)
-        ]
         graph = instance.graph
         self.neighbor_sets: list[frozenset[int]] = [
             graph.neighbors(j) for j in range(n)

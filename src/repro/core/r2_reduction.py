@@ -19,7 +19,8 @@ to schedules of the original instance — this is the content of the proof of
 Theorem 21.
 
 The case analysis only adds, subtracts and compares times, so it runs on
-the ticks of :func:`~repro.utils.rationals.time_grid`.
+the instance's own ticks (:attr:`UnrelatedInstance.ticks`, the grid of
+:func:`~repro.utils.rationals.time_grid`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.graphs.components import connected_components
 from repro.graphs.coloring import proper_two_coloring
 from repro.scheduling.instance import UnrelatedInstance
 from repro.scheduling.schedule import Schedule
-from repro.utils.rationals import time_grid
 
 __all__ = ["ComponentCase", "ComponentRecord", "R2Reduction", "reduce_r2"]
 
@@ -148,15 +148,14 @@ def reduce_r2(instance: UnrelatedInstance) -> R2Reduction:
     """
     if instance.m != 2:
         raise InvalidInstanceError(f"Algorithm 3 needs exactly 2 machines, got {instance.m}")
-    for i in range(2):
-        for j in range(instance.n):
-            if instance.times[i][j] is None:
-                raise InvalidInstanceError(
-                    f"Algorithm 3 requires finite processing times; "
-                    f"times[{i}][{j}] is forbidden"
-                )
-    scale, ticks = time_grid(instance.times)
-    t1, t2 = cast("list[list[int]]", ticks)  # finite: checked above
+    for i, row in enumerate(instance.ticks):
+        if None in row:
+            raise InvalidInstanceError(
+                f"Algorithm 3 requires finite processing times; "
+                f"times[{i}][{row.index(None)}] is forbidden"
+            )
+    scale = instance.scale
+    t1, t2 = cast("tuple[tuple[int, ...], ...]", instance.ticks)  # finite: checked above
     coloring = proper_two_coloring(instance.graph)
     records: list[ComponentRecord] = []
     for comp in connected_components(instance.graph):

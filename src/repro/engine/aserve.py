@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Any, Callable, TextIO
@@ -52,6 +52,7 @@ from repro.engine.service import (
     failed_record,
 )
 from repro.exceptions import ReproError
+from repro.runtime.batch import process_pool
 
 # not called here: e2ebench/tracing.py wraps these two names in this
 # module's namespace and reports a missing trace site without them
@@ -132,7 +133,7 @@ class AsyncEngineService(ServeProtocol):
 
     def _new_executor(self) -> Executor:
         if self.workers > 1:
-            return ProcessPoolExecutor(max_workers=self.workers)
+            return process_pool(self.workers)
         return ThreadPoolExecutor(
             max_workers=min(self.max_inflight, 32),
             thread_name_prefix="repro-serve",

@@ -117,7 +117,9 @@ def minimum_maximal_matching_size(graph: BipartiteGraph) -> int:
     neighbour: either one of its incident edges joins the matching, or
     the vertex stays exposed — in which case *all* its alive neighbours
     must eventually be covered by other edges (enforced lazily by
-    maximality checking at the leaves).
+    maximality checking at the leaves).  A node is pruned when its size
+    plus ``ceil(|A| / 2)``, for a greedy matching ``A`` of the edges
+    still undominated, cannot beat the incumbent.
     """
     edges = list(graph.edges())
     n = graph.n
@@ -140,9 +142,16 @@ def minimum_maximal_matching_size(graph: BipartiteGraph) -> int:
         if not alive:
             best[0] = min(best[0], size)
             return
-        # lower bound: each chosen edge covers <= 2 endpoints, and alive
-        # edges form a graph needing >= ceil(matching of alive)/... keep
-        # it simple: at least one more edge is required
+        # lower bound: the edges of a greedy matching A of the alive edges
+        # have pairwise distinct endpoints, each needs one of its own
+        # covered by a new matching edge, and a new edge covers two
+        # vertices, so at least ceil(|A| / 2) more edges are needed
+        hit: set[int] = set()
+        for a, b in alive:
+            if a not in hit and b not in hit:
+                hit.update((a, b))
+        if size + (len(hit) // 2 + 1) // 2 >= best[0]:
+            return
         u, v = alive[0]
         # every maximal matching must cover u or v; branch on the edges
         # incident to u, then on covering u "from the other side"

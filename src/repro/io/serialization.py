@@ -29,13 +29,29 @@ this is what makes saved hardness-reduction instances (speeds like
 Decoding never coerces: counts, ``p``, sides, edges, parts, blocks and
 eligibility must be JSON integers; a speed or time is a ``"num/den"``
 string or a JSON number read as the constructors read it (not ``true``).
+
+An unrelated instance stores its times as integer ticks of ``1 /
+scale`` (:attr:`~repro.scheduling.instance.UnrelatedInstance.ticks`).
+The decoder reads rows of ASCII ``"num/den"`` strings (what the encoder
+writes for allowed pairs) straight to ticks, a row at a time, and hands
+them to :meth:`~repro.scheduling.instance.UnrelatedInstance.from_ticks`.
+A payload with any other entry (an integer, a float, a null, bare
+digits, a sign, spaces, an exponent, non-ASCII digits, ``"3/0"``, a
+boolean), or whose written denominators have an lcm past
+``_WIRE_SCALE_BITS`` bits, is read entry by entry through the
+constructor, so both routes accept, value and refuse the same payloads
+alike.  The encoder writes each ``t / scale`` reduced, byte for
+byte as :func:`frac_str` writes it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from pathlib import Path
 from typing import Any
 
@@ -120,6 +136,63 @@ def _json_rationals(values: Any, field: str) -> list[Any]:
     if bool in set(map(type, out)):
         raise InvalidInstanceError(f"malformed payload: {field} must not be booleans")
     return out
+
+
+#: a row of wire times joined by ",": ASCII ``digits/digits`` entries, as
+#: :func:`instance_to_dict` writes them
+_WIRE_ROW = re.compile(r"[0-9]+/[0-9]+(?:,[0-9]+/[0-9]+)*")
+
+#: the largest grid, in bits, the decoder builds from the denominators as
+#: written.  Past it the payload is read through the constructor, which
+#: reduces each entry first: ``"0/p"`` for many distinct primes ``p`` is
+#: all zeros, yet the lcm of the written denominators is their product.
+_WIRE_SCALE_BITS = 512
+
+
+def _wire_ticks(times: Any) -> tuple[int, list[list[int]]] | None:
+    """The wire times as ``(scale, ticks)`` on one integer grid, read a row at a time.
+
+    Only rows of ASCII ``"num/den"`` strings are read here; ``scale`` is
+    the lcm of the denominators as written, and
+    ``UnrelatedInstance.from_ticks`` reduces it to the minimal one.  Any
+    other payload, or a grid past ``_WIRE_SCALE_BITS``, gives ``None``,
+    and the caller reads it the way the constructor reads it, so both
+    paths accept, refuse and value the same payloads.
+    """
+    rows = []
+    for row in times:
+        try:
+            joined = ",".join(row)
+        except TypeError:  # a number, a boolean or a null
+            return None
+        if _WIRE_ROW.fullmatch(joined) is None:
+            return None
+        flat = joined.replace("/", ",").split(",")
+        if len(flat) != 2 * len(row):  # some entry held a ","
+            return None
+        rows.append(flat)
+    dens = set(chain.from_iterable(flat[1::2] for flat in rows))
+    scale = 1
+    try:
+        for den in map(int, dens):
+            scale = math.lcm(scale, den)
+            if scale == 0 or scale.bit_length() > _WIRE_SCALE_BITS:  # "3/0", or too large
+                return None
+        factor = {den: scale // int(den) for den in dens}
+        return scale, [
+            list(map(mul, map(int, flat[0::2]), map(factor.__getitem__, flat[1::2])))
+            for flat in rows
+        ]
+    except ValueError:  # past the int string-length limit
+        return None
+
+
+def _ticks_to_strs(row: tuple[int | None, ...], scale: int) -> list[str | None]:
+    """``frac_str`` of every ``t / scale`` in ``row``, with no Fraction built."""
+    return [
+        None if t is None else f"{t // (g := math.gcd(t, scale))}/{scale // g}"
+        for t in row
+    ]
 
 
 def _declared_n(graph: Any) -> int:
@@ -246,10 +319,7 @@ def instance_to_dict(instance: SchedulingInstance) -> dict[str, Any]:
             "format": graph_payload["format"],
             "kind": "unrelated_instance",
             "graph": graph_payload,
-            "times": [
-                [None if t is None else _frac_str(t) for t in row]
-                for row in instance.times
-            ],
+            "times": [_ticks_to_strs(row, instance.scale) for row in instance.ticks],
         }
     raise InvalidInstanceError(
         f"cannot serialise instance type {type(instance).__name__}"
@@ -299,10 +369,11 @@ def instance_from_dict(data: dict[str, Any]) -> SchedulingInstance:
             for i, row in enumerate(times):
                 if len(row) != n:
                     raise InvalidInstanceError(f"times[{i}] has {len(row)} entries for {n} jobs")
-            return UnrelatedInstance(
-                graph_from_dict(data["graph"]),
-                [_json_rationals(row, "'times'") for row in times],
-            )
+            graph = graph_from_dict(data["graph"])
+            grid = _wire_ticks(times)
+            if grid is None:  # an entry only Fraction reads: the constructor's path
+                return UnrelatedInstance(graph, [_json_rationals(row, "'times'") for row in times])
+            return UnrelatedInstance.from_ticks(graph, *grid)
     except InvalidInstanceError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -29,6 +29,10 @@ cache warmth — properties the test-suite pins down.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -209,6 +213,37 @@ def _record(task: _Task, error: str | None) -> dict[str, Any]:
         "error": error,
         "certificate": None,
     }
+
+
+def _exit_with_parent(driver: int, start_method: str) -> None:
+    """Pool worker initializer: end the worker once its driver is gone.
+
+    A driver killed by SIGKILL or ended by ``os._exit`` runs no exit
+    hook, so nothing shuts its pool down and the idle workers would wait
+    on the call queue forever.  A daemon thread polls the parent pid once
+    a second and ends the worker when it is no longer the process that
+    started the worker: the driver, whose pid the driver passes in (so a
+    driver that died before this ran is caught by the first poll), or
+    under ``forkserver`` the fork server, which exits with the driver.
+    """
+    parent = os.getppid() if start_method == "forkserver" else driver
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """The process pool of ``repro batch`` and of ``repro serve --workers``:
+    ``workers`` processes that end with their driver, however it ends."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(), multiprocessing.get_start_method()),
+    )
 
 
 def _solve_task(task: _Task) -> dict[str, Any]:
@@ -446,7 +481,7 @@ class BatchRunner:
         if self.workers == 1 or not tasks:
             return [_solve_task(task) for task in tasks]
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = process_pool(self.workers)
         chunksize = max(1, len(tasks) // (self.workers * 4))
         outcomes: list[dict[str, Any] | BrokenProcessPool] = []
         try:

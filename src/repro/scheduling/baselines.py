@@ -15,8 +15,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs.coloring import inequitable_two_coloring
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
@@ -88,28 +86,18 @@ def r_color_split(instance: UnrelatedInstance) -> Schedule:
     fallback for ``Rm|G = bipartite|Cmax`` with ``m >= 3``, where
     Theorem 24 rules out any reasonable guarantee.
 
-    Runs in ``O(m^2 + m n)`` (class loads per machine are precomputed).
+    Runs in ``O(m^2 + m n)`` (class loads per machine are precomputed,
+    as integer sums on the instance's tick grid).
     """
     n, m = instance.n, instance.m
     if n == 0:
         return Schedule(instance, [])
     class1, class2 = inequitable_two_coloring(instance.graph)
-    # load[i][c] = total time of class c on machine i, None if forbidden
-    loads: list[list[Fraction | None]] = []
-    for i in range(m):
-        row: list[Fraction | None] = []
-        for cls in (class1, class2):
-            total = Fraction(0)
-            for j in cls:
-                t = instance.times[i][j]
-                if t is None:
-                    total = None
-                    break
-                total += t
-            row.append(total)
-        loads.append(row)
+    # loads[i][c] = ticks of class c on machine i, None if forbidden; the
+    # one positive scale makes tick sums compare as the times do
+    loads = [[instance.load_ticks(i, cls) for cls in (class1, class2)] for i in range(m)]
 
-    best: tuple[Fraction, int, int] | None = None
+    best: tuple[int, int, int] | None = None
     if not class2 or not class1:
         cls_idx = 0 if class1 else 1
         for i in range(m):
@@ -118,12 +106,14 @@ def r_color_split(instance: UnrelatedInstance) -> Schedule:
                 best = (t, i, i)
     else:
         for i1 in range(m):
-            if loads[i1][0] is None:
+            t1 = loads[i1][0]
+            if t1 is None:
                 continue
             for i2 in range(m):
-                if i1 == i2 or loads[i2][1] is None:
+                t2 = loads[i2][1]
+                if i1 == i2 or t2 is None:
                     continue
-                span = max(loads[i1][0], loads[i2][1])
+                span = max(t1, t2)
                 if best is None or span < best[0]:
                     best = (span, i1, i2)
     if best is None:

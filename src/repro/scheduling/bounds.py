@@ -168,17 +168,15 @@ def unrelated_lower_bound(instance: UnrelatedInstance) -> Fraction:
     """
     if instance.n == 0:
         return Fraction(0)
-    mins: list[Fraction] = []
-    for j in range(instance.n):
-        best: Fraction | None = None
-        for i in range(instance.m):
-            t = instance.times[i][j]
-            if t is not None and (best is None or t < best):
-                best = t
-        if best is None:
+    # on the instance's tick grid: one Fraction per bound, at the end
+    mins: list[int] = []
+    for j, column in enumerate(zip(*instance.ticks)):
+        finite = [t for t in column if t is not None]
+        if not finite:
             raise InvalidInstanceError(
                 f"job {j} is forbidden on every machine (instance "
                 "invariant violated after construction)"
             )
-        mins.append(best)
-    return max(max(mins), sum(mins) / instance.m)
+        mins.append(min(finite))
+    scale = instance.scale
+    return max(Fraction(max(mins), scale), Fraction(sum(mins), scale * instance.m))

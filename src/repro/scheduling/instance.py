@@ -11,18 +11,23 @@ non-increasingly (the paper's convention ``s_1 >= ... >= s_m``).
 speeds 1), optionally with per-job *machine-eligibility masks* (the CP
 ``alternative`` + eligibility idiom); :class:`UnrelatedInstance` covers
 ``R`` including *forbidden* job/machine pairs (processing time ``None``),
-which Algorithm 5 uses for its machine-pinned artificial jobs.
+which Algorithm 5 uses for its machine-pinned artificial jobs.  An
+unrelated instance stores its times as integer ticks of ``1 / scale``
+(``scale`` minimal), the grid Algorithms 3-5, the oracle and the
+completion times compute on; the :class:`Fraction` matrix is a view.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, cast
 
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.conflict import ConflictGraph
-from repro.utils.rationals import as_fraction, as_fraction_tuple
+from repro.utils.rationals import as_fraction, as_fraction_tuple, speed_grid, time_grid
 from repro.utils.validation import check_positive_ints
 
 __all__ = [
@@ -227,19 +232,28 @@ class UniformInstance(SchedulingInstance):
 
         Used by Algorithm 1 (step 3 hands machines ``M_1, M_2`` to the R2
         FPTAS) and by Theorem 4's prepared instances.  Eligibility masks
-        translate to forbidden (``None``) time entries.
+        translate to forbidden (``None``) time entries.  The times are
+        built as ticks on the speeds'
+        :func:`~repro.utils.rationals.speed_grid`, with no
+        :class:`Fraction` per entry.
         """
         idx = list(range(self.m)) if machines is None else list(machines)
-        times = [
-            [
-                Fraction(self.p[j]) / self.speeds[i]
-                if self.allows(i, j)
-                else None
-                for j in range(self.n)
+        # p_j / s_i = p_j * u_i / Q on the speeds' grid: integer ticks,
+        # which from_ticks reduces to the minimal scale
+        quantum, unit_times = speed_grid([self.speeds[i] for i in idx])
+        p, masks = self.p, self.eligible
+        ticks: list[list[int | None]]
+        if masks is None:
+            ticks = [[pj * u for pj in p] for u in unit_times]
+        else:
+            ticks = [
+                [
+                    pj * u if (mask := masks[j]) is None or i in mask else None
+                    for j, pj in enumerate(p)
+                ]
+                for i, u in zip(idx, unit_times)
             ]
-            for i in idx
-        ]
-        return UnrelatedInstance(self.graph, times)
+        return UnrelatedInstance.from_ticks(self.graph, quantum, ticks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UniformInstance(n={self.n}, m={self.m}, sum_p={self.total_p})"
@@ -248,21 +262,28 @@ class UniformInstance(SchedulingInstance):
 class UnrelatedInstance(SchedulingInstance):
     """``R|G|Cmax`` data: an ``m x n`` processing-time matrix.
 
-    ``times[i][j]`` is the (rational) time of job ``j`` on machine ``i`` or
-    ``None`` when the pair is forbidden (Algorithm 5 pins its two artificial
-    load jobs this way).
+    The data is the integer grid of the times: ``ticks[i][j]`` is the
+    time of job ``j`` on machine ``i`` in units of ``1 / scale``, or
+    ``None`` when the pair is forbidden (Algorithm 5 pins its two
+    artificial load jobs this way).  ``scale`` is minimal, as
+    :func:`~repro.utils.rationals.time_grid` makes it, so
+    ``gcd(scale, *ticks) == 1``; sums of times compare like sums of
+    ticks.  :attr:`times` is the same matrix as exact rationals, built
+    on first use.
+
+    The constructor takes rationals (ints, ``"num/den"`` strings,
+    floats read through their decimal form, :class:`Fraction`);
+    :meth:`from_ticks` takes a grid directly and runs the same checks.
     """
 
-    __slots__ = ("graph", "times", "_forbidden")
+    __slots__ = ("graph", "scale", "ticks", "_forbidden", "_times")
 
     def __init__(
         self,
         graph: ConflictGraph,
         times: Sequence[Sequence[int | float | str | Fraction | None]],
     ) -> None:
-        self.graph = graph
         rows: list[tuple[Fraction | None, ...]] = []
-        self._forbidden = False
         for i, row in enumerate(times):
             if len(row) != graph.n:
                 raise InvalidInstanceError(
@@ -272,7 +293,6 @@ class UnrelatedInstance(SchedulingInstance):
             for j, t in enumerate(row):
                 if t is None:
                     conv.append(None)
-                    self._forbidden = True
                 else:
                     f = as_fraction(t)
                     if f < 0:
@@ -281,16 +301,85 @@ class UnrelatedInstance(SchedulingInstance):
                         )
                     conv.append(f)
             rows.append(tuple(conv))
+        scale, ticks = time_grid(rows)
+        self._set_grid(graph, scale, ticks)
+        self._times: tuple[tuple[Fraction | None, ...], ...] | None = tuple(rows)
+
+    @classmethod
+    def from_ticks(
+        cls,
+        graph: ConflictGraph,
+        scale: int,
+        ticks: Sequence[Sequence[int | None]],
+    ) -> "UnrelatedInstance":
+        """The instance whose times are ``ticks[i][j] / scale``.
+
+        Runs the constructor's checks, with its messages, and divides
+        ``scale`` and every tick by their gcd, so any integer grid of
+        the times (say one from unreduced denominators) gives the same
+        instance.  No :class:`Fraction` is built.
+        """
+        instance = cls.__new__(cls)
+        instance._set_grid(graph, scale, ticks)
+        instance._times = None
+        return instance
+
+    def _set_grid(
+        self,
+        graph: ConflictGraph,
+        scale: int,
+        ticks: Sequence[Sequence[int | None]],
+    ) -> None:
+        if scale < 1:
+            raise InvalidInstanceError(f"the time scale must be positive, got {scale}")
+        n = graph.n
+        rows: list[tuple[int | None, ...]] = []
+        finite: list[Sequence[int]] = []
+        forbidden = False
+        for i, raw in enumerate(ticks):
+            row = tuple(raw)
+            if len(row) != n:
+                raise InvalidInstanceError(f"times[{i}] has {len(row)} entries for {n} jobs")
+            values = cast("Sequence[int]", row)
+            if None in row:
+                forbidden = True
+                values = [t for t in row if t is not None]
+            if values and min(values) < 0:
+                j, t = next((j, t) for j, t in enumerate(row) if t is not None and t < 0)
+                raise InvalidInstanceError(
+                    f"times[{i}][{j}] must be non-negative, got {Fraction(t, scale)}"
+                )
+            rows.append(row)
+            finite.append(values)
         if not rows:
             raise InvalidInstanceError("need at least one machine")
-        self.times: tuple[tuple[Fraction | None, ...], ...] = tuple(rows)
-        for j in range(graph.n):
-            if all(self.times[i][j] is None for i in range(len(rows))):
-                raise InvalidInstanceError(f"job {j} is forbidden on every machine")
+        if forbidden:
+            for j, column in enumerate(zip(*rows)):
+                if column.count(None) == len(rows):
+                    raise InvalidInstanceError(f"job {j} is forbidden on every machine")
+        g = math.gcd(scale, *chain.from_iterable(finite))
+        if g > 1:
+            scale //= g
+            rows = [tuple(None if t is None else t // g for t in row) for row in rows]
+        self.graph = graph
+        self.scale = scale
+        self.ticks: tuple[tuple[int | None, ...], ...] = tuple(rows)
+        self._forbidden = forbidden
+
+    @property
+    def times(self) -> tuple[tuple[Fraction | None, ...], ...]:
+        """``times[i][j] = ticks[i][j] / scale`` as exact rationals."""
+        if self._times is None:
+            scale = self.scale
+            self._times = tuple(
+                tuple(None if t is None else Fraction(t, scale) for t in row)
+                for row in self.ticks
+            )
+        return self._times
 
     @property
     def m(self) -> int:
-        return len(self.times)
+        return len(self.ticks)
 
     @property
     def has_eligibility(self) -> bool:
@@ -308,21 +397,28 @@ class UnrelatedInstance(SchedulingInstance):
             raise InvalidInstanceError(
                 f"replacement graph has {graph.n} vertices for {self.graph.n} jobs"
             )
-        return UnrelatedInstance(graph, self.times)
+        return UnrelatedInstance.from_ticks(graph, self.scale, self.ticks)
+
+    def allows(self, machine: int, job: int) -> bool:
+        return self.ticks[machine][job] is not None
 
     def processing_time(self, machine: int, job: int) -> Fraction | None:
         return self.times[machine][job]
 
+    def load_ticks(self, machine: int, jobs: Iterable[int]) -> int | None:
+        """Total ticks of ``jobs`` on ``machine``; ``None`` if one is forbidden there."""
+        try:
+            return sum(cast("Iterator[int]", map(self.ticks[machine].__getitem__, jobs)))
+        except TypeError:  # a None tick
+            return None
+
     def machine_completion(self, machine: int, jobs: Iterable[int]) -> Fraction:
-        total = Fraction(0)
-        for j in jobs:
-            t = self.times[machine][j]
-            if t is None:
-                raise InvalidInstanceError(
-                    f"job {j} is forbidden on machine {machine}"
-                )
-            total += t
-        return total
+        jobs = list(jobs)
+        total = self.load_ticks(machine, jobs)
+        if total is None:
+            j = next(j for j in jobs if self.ticks[machine][j] is None)
+            raise InvalidInstanceError(f"job {j} is forbidden on machine {machine}")
+        return Fraction(total, self.scale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UnrelatedInstance(n={self.n}, m={self.m})"

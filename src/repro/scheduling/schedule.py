@@ -29,12 +29,13 @@ class Schedule:
         ``assignment[j]`` is the machine index of job ``j``.
     check:
         When true (default) the schedule is validated eagerly and an
-        :exc:`InvalidScheduleError` is raised on infeasibility.  Baseline
-        heuristics that deliberately ignore the incompatibility graph pass
-        ``check=False`` and report :meth:`is_feasible` instead.
+        :exc:`InvalidScheduleError` is raised on infeasibility; the passed
+        check is kept, so :meth:`is_feasible` answers ``True`` at once.
+        Baseline heuristics that deliberately ignore the incompatibility
+        graph pass ``check=False`` and report :meth:`is_feasible` instead.
     """
 
-    __slots__ = ("instance", "assignment", "_completions")
+    __slots__ = ("instance", "assignment", "_completions", "_checked")
 
     def __init__(
         self,
@@ -46,16 +47,21 @@ class Schedule:
             raise InvalidScheduleError(
                 f"assignment covers {len(assignment)} of {instance.n} jobs"
             )
+        m = instance.m
         for j, i in enumerate(assignment):
-            if not (0 <= i < instance.m):
+            if not (0 <= i < m):
                 raise InvalidScheduleError(
-                    f"job {j} assigned to machine {i}, valid range is 0..{instance.m - 1}"
+                    f"job {j} assigned to machine {i}, valid range is 0..{m - 1}"
                 )
         self.instance = instance
         self.assignment: tuple[int, ...] = tuple(int(i) for i in assignment)
         self._completions: tuple[Fraction, ...] | None = None
+        # True once the check has passed: the instance and the assignment
+        # are immutable, so the verdict stands
+        self._checked = False
         if check:
             self.assert_feasible()
+            self._checked = True
 
     # ------------------------------------------------------------------ #
     # structure
@@ -116,8 +122,12 @@ class Schedule:
         return problems
 
     def is_feasible(self) -> bool:
-        """Whether the schedule satisfies every constraint."""
-        return not self.violations()
+        """Whether the schedule satisfies every constraint.
+
+        A schedule built with ``check=True`` passed the check already and
+        answers without scanning the machines again.
+        """
+        return self._checked or not self.violations()
 
     def assert_feasible(self) -> None:
         """Raise :exc:`InvalidScheduleError` listing all violations, if any."""

@@ -156,6 +156,13 @@ def test_property_bnb_matches_exhaustive(n, p, seed):
     assert minimum_maximal_matching_size(g) == _nx_minimum_maximal_matching(g)
 
 
+@pytest.mark.parametrize("p, seed", [(0.7, 50), (0.6, 300)])
+def test_dense_graphs_that_once_took_seconds(p, seed):
+    """beta on two G(10, 10, p) graphs whose search took 13-24 s before
+    nodes were pruned on a greedy matching of the undominated edges."""
+    assert minimum_maximal_matching_size(gnnp(10, p, seed=seed)) == 8
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 10), p=st.floats(0.05, 0.8), seed=st.integers(0, 500))
 def test_property_sandwich(n, p, seed):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from repro.exceptions import InvalidInstanceError
 from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
+from repro.io import serialization
 from repro.io import (
     graph_from_dict,
     graph_to_dict,
@@ -180,6 +182,143 @@ class TestStrictDecode:
         payload = copy.deepcopy(_PAYLOADS["r"])
         payload["times"][0] = [2.5, 1, None, "3/4"]
         assert instance_from_dict(payload).times[0] == (F(5, 2), F(1), None, F(3, 4))
+
+
+#: (where, value, the message that payload has always been refused with)
+_TIME_REFUSALS = [
+    ((0, 0), True, "malformed payload: 'times' must not be booleans"),
+    ((0, 1), -3, "times[0][1] must be non-negative, got -3"),
+    ((0, 1), "-3/4", "times[0][1] must be non-negative, got -3/4"),
+    ((1, 1), -0.5, "times[1][1] must be non-negative, got -0.5"),
+    ((0, 2), "3/0",
+     "malformed 'unrelated_instance' instance payload: ZeroDivisionError('Fraction(3, 0)')"),
+    ((1, 3), "abc",
+     "malformed 'unrelated_instance' instance payload: "
+     "ValueError(\"Invalid literal for Fraction: 'abc'\")"),
+    ((0, 0), "1,2",
+     "malformed 'unrelated_instance' instance payload: "
+     "ValueError(\"Invalid literal for Fraction: '1,2'\")"),
+]
+
+#: strings only Fraction reads, still read as it reads them
+_TIME_SPELLINGS = [
+    ("1e3", F(1000)),
+    ("2.5e-1", F(1, 4)),
+    (" 3/4 ", F(3, 4)),
+    ("\u0663/\u0664", F(3, 4)),  # Arabic-Indic digits
+    ("+5", F(5)),
+    ("50/4", F(25, 2)),
+    ("7", F(7)),
+    (0.1, F(1, 10)),
+]
+
+
+class TestUnrelatedWireTimes:
+    def _r_payload(self):
+        return copy.deepcopy(_PAYLOADS["r"])
+
+    @pytest.mark.parametrize("at, value, message", _TIME_REFUSALS)
+    def test_refusals_keep_their_messages(self, at, value, message):
+        payload = self._r_payload()
+        payload["times"][at[0]][at[1]] = value
+        with pytest.raises(InvalidInstanceError) as refused:
+            instance_from_dict(payload)
+        assert str(refused.value) == message
+
+    def test_short_row_and_job_forbidden_everywhere_refused(self):
+        payload = self._r_payload()
+        payload["times"][1].pop()
+        with pytest.raises(InvalidInstanceError, match=r"^times\[1\] has 3 entries for 4 jobs$"):
+            instance_from_dict(payload)
+        payload = self._r_payload()
+        payload["times"][0][2] = payload["times"][1][2] = None
+        with pytest.raises(InvalidInstanceError, match="^job 2 is forbidden on every machine$"):
+            instance_from_dict(payload)
+
+    @pytest.mark.parametrize("value, expected", _TIME_SPELLINGS)
+    def test_other_spellings_read_as_fraction_reads_them(self, value, expected):
+        payload = self._r_payload()
+        payload["times"][0][0] = value
+        decoded = instance_from_dict(payload)
+        assert decoded.times[0] == (expected, F(2), F(3), F(4))
+        graph = graph_from_dict(payload["graph"])
+        constructed = UnrelatedInstance(
+            graph, [[F(t) if type(t) is str else t for t in row] for row in payload["times"]]
+        )
+        assert (decoded.scale, decoded.ticks) == (constructed.scale, constructed.ticks)
+
+    def test_num_den_strings_build_no_fraction(self):
+        payload = self._r_payload()
+        payload["times"][0] = ["1/1", "0/5", "9/6", "12/1"]
+        decoded = instance_from_dict(payload)
+        assert decoded._times is None  # the Fraction view is not built
+        assert (decoded.scale, decoded.ticks) == (2, ((2, 0, 3, 24), (1, 4, 6, 2)))
+        payload["times"][0][0] = 1  # an integer: read through the constructor
+        constructed = instance_from_dict(payload)
+        assert constructed._times is not None
+        assert (constructed.scale, constructed.ticks) == (decoded.scale, decoded.ticks)
+
+    def test_unreduced_prime_denominators_decode_at_scale_one(self):
+        """``"0/p"`` and ``"p/p"`` over many distinct primes are zeros and
+        ones: the decoder builds no grid of the primes' product."""
+        primes = [p for p in range(3, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert math.prod(primes).bit_length() > serialization._WIRE_SCALE_BITS
+        n = len(primes)
+        times = [[f"0/{p}" for p in primes], [f"{p}/{p}" for p in primes]]
+        assert serialization._wire_ticks(times) is None
+        decoded = instance_from_dict({
+            "format": "repro/v1", "kind": "unrelated_instance",
+            "graph": graph_to_dict(generators.empty_graph(n)), "times": times,
+        })
+        assert (decoded.scale, decoded.ticks) == (1, ((0,) * n, (1,) * n))
+
+
+#: one wire time: a JSON integer (zero included), a ``"num/den"`` string
+#: that need not be reduced, bare digits, or a JSON float
+_WIRE_TIMES = {
+    "ints": st.integers(0, 60),
+    "strings": st.one_of(
+        st.tuples(st.integers(0, 60), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.integers(0, 60).map(str),
+    ),
+}
+_WIRE_TIMES["mixed"] = st.one_of(
+    _WIRE_TIMES["ints"], _WIRE_TIMES["strings"], st.sampled_from([0.0, 0.1, 0.25, 2.5, 7.0])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 4))
+def test_property_unrelated_round_trip(data, n, m):
+    rows = [
+        data.draw(st.lists(
+            st.one_of(st.none(), _WIRE_TIMES[data.draw(st.sampled_from(sorted(_WIRE_TIMES)))]),
+            min_size=n, max_size=n,
+        ))
+        for _ in range(m)
+    ]
+    for j in range(n):  # every job allowed somewhere
+        if all(row[j] is None for row in rows):
+            rows[0][j] = j
+    graph = generators.empty_graph(n)
+    payload = json.loads(json.dumps(
+        {"format": "repro/v1", "kind": "unrelated_instance",
+         "graph": graph_to_dict(graph), "times": rows}
+    ))
+    decoded = instance_from_dict(payload)
+    times = tuple(
+        tuple(None if t is None else F(str(t)) if type(t) is float else F(t) for t in row)
+        for row in rows
+    )
+    assert decoded.times == times
+    assert all(
+        F(t, decoded.scale) == f
+        for trow, frow in zip(decoded.ticks, times)
+        for t, f in zip(trow, frow) if t is not None
+    )
+    assert math.gcd(decoded.scale, *(t for row in decoded.ticks for t in row if t is not None)) == 1
+    again = instance_from_dict(json.loads(json.dumps(instance_to_dict(decoded))))
+    assert (again.scale, again.ticks, again.times) == (decoded.scale, decoded.ticks, times)
 
 
 class TestScheduleRoundTrip:

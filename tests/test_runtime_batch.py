@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
@@ -286,6 +287,13 @@ class TestPerItemFailures:
 
 #: the child interpreter of the dead-worker test: a plugin that kills its
 #: worker the first time it runs, among good items, twice on one runner
+def _child_env():
+    """The environment of a child interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 _DEAD_WORKER_CHILD = """
 import json, multiprocessing, os, sys, time
 from fractions import Fraction
@@ -330,9 +338,7 @@ print(json.dumps({
     reason="workers see a plugin registered at run time only under fork",
 )
 def test_dead_worker_costs_error_records_not_the_batch(tmp_path):
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     # a session of its own, so that a hang can be killed with every worker
     with subprocess.Popen(
         [sys.executable, "-c", _DEAD_WORKER_CHILD, str(tmp_path / "died")],
@@ -363,10 +369,101 @@ def test_dead_worker_costs_error_records_not_the_batch(tmp_path):
     assert report["children"] == 0
 
 
+#: the child interpreter of the orphaned-worker test: a two-worker pool
+#: solves one task, then the driver ends without running any exit hook
+_ORPHANING_CHILD = """
+import os
+from fractions import Fraction
+from repro.graphs import generators
+from repro.runtime import BatchRunner
+from repro.scheduling.instance import unit_uniform_instance
+
+runner = BatchRunner(workers=2)
+runner.run_to_list([unit_uniform_instance(
+    generators.matching_graph(2), [Fraction(2), Fraction(1)])])
+print(*runner._pool._processes, flush=True)
+os._exit(0)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie nobody reaped is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return True  # no /proc: the signal probe is all there is
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_pool_workers_end_with_a_driver_that_skips_its_exit_hooks(pool_guard, tmp_path):
+    """Workers of a driver ended by ``os._exit`` (or SIGKILL) do not linger."""
+    env = _child_env()
+    # output to files, not pipes: a lingering worker would hold a pipe
+    # open; and a session of its own, so whatever outlives the test is
+    # killed with it
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("w") as out_fh, err.open("w") as err_fh:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ORPHANING_CHILD],
+            stdout=out_fh, stderr=err_fh, env=env, start_new_session=True,
+        )
+    try:
+        assert child.wait(timeout=60) == 0, err.read_text()
+        pids = [int(pid) for pid in out.read_text().split()]
+        assert pids
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids)), "pool workers outlived their driver"
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait()
+
+
+#: a child that runs the pool worker initializer, then idles a second
+_WATCHED_CHILD = """
+import sys, time
+from repro.runtime.batch import _exit_with_parent
+_exit_with_parent(int(sys.argv[1]), sys.argv[2])
+time.sleep(1.0)
+"""
+
+
+def test_worker_initializer_compares_with_the_driver_pid_it_was_given():
+    """A worker whose driver died before the initializer ran ends at the
+    first poll; one whose driver is its parent, or a fork-server worker
+    (the fork server being its parent), lives on."""
+    cases = [(-1, "fork", 1), (os.getpid(), "fork", 0), (-1, "forkserver", 0)]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WATCHED_CHILD, str(driver), method],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        for driver, method, _ in cases
+    ]
+    try:
+        for child, (_, _, code) in zip(children, cases):
+            _, err = child.communicate(timeout=60)
+            assert child.returncode == code, err
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+
+
 class _BreaksAfterOneTask:
     """A stand-in pool that solves its first task and then breaks."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         pass
 
     def map(self, fn, tasks, chunksize):

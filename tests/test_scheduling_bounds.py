@@ -219,7 +219,7 @@ class TestUnrelatedBoundInvariant:
         # simulate post-construction corruption through the slot
         # descriptor (the validated constructor would reject this, as a
         # deserialisation bug might not)
-        broken_times = ((None, Fraction(2)), (None, Fraction(4)))
-        type(inst).times.__set__(inst, broken_times)
+        broken_ticks = ((None, 2), (None, 4))
+        type(inst).ticks.__set__(inst, broken_ticks)
         with pytest.raises(InvalidInstanceError):
             unrelated_lower_bound(inst)

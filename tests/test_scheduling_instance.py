@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
@@ -106,6 +108,58 @@ class TestToUnrelated:
         r = inst.to_unrelated([0, 1])
         assert r.m == 2
         assert r.times[1][0] == Fraction(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    speeds=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_property_to_unrelated_is_p_over_s(p, speeds, data):
+    """On all machines, on a subset and under eligibility masks, the ticks
+    on the speed grid give exactly ``Fraction(p_j) / s_i``."""
+    s = sorted((Fraction(a, b) for a, b in speeds), reverse=True)
+    n, m = len(p), len(s)
+    eligible = data.draw(st.none() | st.lists(
+        st.none() | st.lists(st.integers(0, m - 1), min_size=1), min_size=n, max_size=n))
+    machines = data.draw(st.none() | st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    inst = UniformInstance(matching_graph(n // 2) if n % 2 == 0 else path_graph(n), p, s, eligible)
+    idx = range(m) if machines is None else machines
+    times = tuple(
+        tuple(Fraction(p[j]) / s[i] if inst.allows(i, j) else None for j in range(n))
+        for i in idx
+    )
+    if any(all(row[j] is None for row in times) for j in range(n)):
+        with pytest.raises(InvalidInstanceError, match="forbidden on every machine"):
+            inst.to_unrelated(machines)
+        return
+    r = inst.to_unrelated(machines)
+    assert r.times == times
+    reference = UnrelatedInstance(inst.graph, times)
+    assert (r.scale, r.ticks) == (reference.scale, reference.ticks)
+
+
+class TestFromTicks:
+    def test_reduces_to_the_minimal_scale(self):
+        r = UnrelatedInstance.from_ticks(path_graph(3), 12, [[6, 0, None], [3, 9, 18]])
+        assert (r.scale, r.ticks) == (4, ((2, 0, None), (1, 3, 6)))
+        assert r.times == UnrelatedInstance(
+            path_graph(3), [["1/2", 0, None], ["1/4", "3/4", "3/2"]]
+        ).times
+
+    @pytest.mark.parametrize(
+        "ticks, message",
+        [
+            ([[1, 2]], r"^times\[0\] has 2 entries for 3 jobs$"),
+            ([], "^need at least one machine$"),
+            ([[1, -3, 2]], r"^times\[0\]\[1\] must be non-negative, got -3/4$"),
+            ([[1, None, 2], [1, None, 2]], "^job 1 is forbidden on every machine$"),
+        ],
+    )
+    def test_runs_the_constructors_checks(self, ticks, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            UnrelatedInstance.from_ticks(path_graph(3), 4, ticks)
 
 
 class TestUnrelatedInstance:

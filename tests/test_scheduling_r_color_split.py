@@ -11,6 +11,8 @@ import numpy as np
 from repro.exceptions import InfeasibleInstanceError
 from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.coloring import inequitable_two_coloring
+from repro.random_graphs.gilbert import gnnp
 from repro.scheduling.baselines import r_color_split
 from repro.scheduling.brute_force import brute_force_makespan
 from repro.scheduling.instance import UnrelatedInstance
@@ -79,3 +81,67 @@ def test_property_feasible_and_bounded(k, m, seed):
     schedule = r_color_split(inst)
     assert schedule.is_feasible()
     assert schedule.makespan >= brute_force_makespan(inst)
+
+
+def _fraction_reference(instance):
+    """``r_color_split``'s choice recomputed on the Fraction times:
+    ``(makespan, machine of class 1, machine of class 2)`` or ``None``."""
+    class1, class2 = inequitable_two_coloring(instance.graph)
+    loads = [
+        [
+            None if any(instance.times[i][j] is None for j in cls)
+            else sum((instance.times[i][j] for j in cls), F(0))
+            for cls in (class1, class2)
+        ]
+        for i in range(instance.m)
+    ]
+    best = None
+    if not class1 or not class2:
+        c = 0 if class1 else 1
+        for i in range(instance.m):
+            if loads[i][c] is not None and (best is None or loads[i][c] < best[0]):
+                best = (loads[i][c], i, i)
+        return best
+    for i1 in range(instance.m):
+        for i2 in range(instance.m):
+            if i1 == i2 or loads[i1][0] is None or loads[i2][1] is None:
+                continue
+            span = max(loads[i1][0], loads[i2][1])
+            if best is None or span < best[0]:
+                best = (span, i1, i2)
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    half=st.integers(0, 5),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 10**6),
+    forbid=st.floats(0.0, 0.3),
+)
+def test_matches_the_fraction_reference(half, m, seed, forbid):
+    """Tick sums pick the same machine pair and makespan as Fraction sums."""
+    rng = np.random.default_rng(seed)
+    graph = gnnp(half, 0.4, seed=seed) if half else generators.empty_graph(3)
+    times = [
+        [
+            None if rng.random() < forbid
+            else F(int(rng.integers(0, 40)), int(rng.integers(1, 7)))
+            for _ in range(graph.n)
+        ]
+        for _ in range(m)
+    ]
+    for j in range(graph.n):  # every job allowed somewhere
+        if all(row[j] is None for row in times):
+            times[0][j] = F(1)
+    inst = UnrelatedInstance(graph, times)
+    reference = _fraction_reference(inst)
+    if reference is None:
+        with pytest.raises(InfeasibleInstanceError):
+            r_color_split(inst)
+        return
+    makespan, i1, i2 = reference
+    schedule = r_color_split(inst)
+    class2 = set(inequitable_two_coloring(inst.graph)[1])
+    assert schedule.assignment == tuple(i2 if j in class2 else i1 for j in range(graph.n))
+    assert schedule.makespan == makespan

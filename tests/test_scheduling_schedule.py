@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.exceptions import InvalidScheduleError
+from repro.exceptions import InvalidInstanceError, InvalidScheduleError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import matching_graph, path_graph
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
@@ -74,6 +74,30 @@ class TestValidation:
         s = Schedule(inst, [0, 1, 0, 1])
         assert s.is_feasible()
         assert s.violations() == []
+
+
+class TestKeptVerdict:
+    def test_checked_schedule_does_not_rescan(self, monkeypatch):
+        s = Schedule(simple_instance(), [0, 1, 0, 1])
+
+        def rescan(self):
+            raise AssertionError("violations() ran again")
+
+        monkeypatch.setattr(Schedule, "violations", rescan)
+        assert s.is_feasible()
+
+    def test_unchecked_schedule_computes_its_verdict(self):
+        inst = simple_instance()
+        assert not Schedule(inst, [0, 0, 1, 1], check=False).is_feasible()
+        assert Schedule(inst, [0, 1, 0, 1], check=False).is_feasible()
+
+    def test_unrelated_completion_is_one_exact_sum(self):
+        inst = UnrelatedInstance(BipartiteGraph(3, []), [["1/3", "1/6", None], [1, 2, 3]])
+        assert (inst.scale, inst.load_ticks(0, [0, 1]), inst.load_ticks(0, [1, 2])) == (6, 3, None)
+        assert inst.machine_completion(0, iter([0, 1])) == Fraction(1, 2)
+        assert inst.machine_completion(1, []) == 0
+        with pytest.raises(InvalidInstanceError, match="job 2 is forbidden on machine 0"):
+            inst.machine_completion(0, [1, 2])
 
 
 class TestScheduleFromGroups:
