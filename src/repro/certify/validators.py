@@ -159,13 +159,26 @@ def _recompute_makespan(
 ) -> Fraction | None:
     """Makespan re-derived from the raw job data, for an assignment that
     respects eligibility: on uniform machines the integer ``p_j`` summed
-    per machine and divided once by its speed, otherwise the processing
-    times summed (``None`` if some assigned pair has none)."""
+    per machine and divided once by its speed, on unrelated ones the
+    integer ticks summed per machine and the largest divided once by the
+    scale, otherwise the processing times summed (``None`` if some
+    assigned pair has none)."""
     if isinstance(instance, UniformInstance):
         loads = [0] * instance.m
         for j, i in enumerate(assignment):
             loads[i] += instance.p[j]
         return max(Fraction(load) / s for load, s in zip(loads, instance.speeds))
+    if isinstance(instance, UnrelatedInstance):
+        jobs: list[list[int]] = [[] for _ in range(instance.m)]
+        for j, i in enumerate(assignment):
+            jobs[i].append(j)
+        ticks: list[int] = []
+        for i, js in enumerate(jobs):
+            t = instance.load_ticks(i, js)
+            if t is None:
+                return None
+            ticks.append(t)
+        return Fraction(max(ticks), instance.scale)
     totals = [Fraction(0)] * instance.m
     for j, i in enumerate(assignment):
         t = instance.processing_time(i, j)

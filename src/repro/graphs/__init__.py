@@ -42,7 +42,6 @@ from repro.graphs.independent_set import (
     max_weight_independent_set_containing,
     independence_number,
 )
-from repro.graphs.flow import FlowNetwork, max_flow_min_cut
 from repro.graphs import generators
 from repro.graphs.precoloring import (
     PrExtInstance,
@@ -93,8 +92,6 @@ __all__ = [
     "max_weight_independent_set",
     "max_weight_independent_set_containing",
     "independence_number",
-    "FlowNetwork",
-    "max_flow_min_cut",
     "generators",
     "PrExtInstance",
     "solve_prext",

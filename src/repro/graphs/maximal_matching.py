@@ -10,9 +10,9 @@ provides the measurement side:
 * :func:`small_maximal_matching` — a min-degree-first heuristic that
   targets *small* maximal matchings, i.e. an upper-bound estimator for
   ``beta``;
-* :func:`minimum_maximal_matching_size` — exact ``beta`` by
-  branch-and-bound (minimum maximal matching is NP-hard; use only on
-  small graphs — it is the test oracle).
+* :func:`minimum_maximal_matching_size` — exact ``beta`` from its
+  vertex-cover form, enumerating subsets of one side (minimum maximal
+  matching is NP-hard; use only on small graphs — it is the test oracle).
 
 Every maximal matching is a valid certificate: its size is sandwiched by
 ``beta <= |M| <= mu``, so the heuristic and Zito's bound bracket the true
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.matching import maximum_matching_size
 
 __all__ = [
     "is_maximal_matching",
@@ -111,65 +112,31 @@ def matching_size(mate: Sequence[int]) -> int:
 
 
 def minimum_maximal_matching_size(graph: BipartiteGraph) -> int:
-    """Exact ``beta(G)`` by branch-and-bound (small graphs only).
+    """Exact ``beta(G)``, exponential in one side (small graphs only).
 
-    Branches on the lowest-indexed vertex that still has an uncovered
-    neighbour: either one of its incident edges joins the matching, or
-    the vertex stays exposed — in which case *all* its alive neighbours
-    must eventually be covered by other edges (enforced lazily by
-    maximality checking at the leaves).  A node is pruned when its size
-    plus ``ceil(|A| / 2)``, for a greedy matching ``A`` of the edges
-    still undominated, cannot beat the incumbent.
+    ``beta`` is also the size of a minimum edge dominating set (Yannakakis
+    and Gavril, 1980).  The endpoints of an edge dominating set form a
+    vertex cover ``C``; conversely a maximum matching of ``G[C]`` plus one
+    edge per vertex of ``C`` it leaves exposed dominates every edge.  So
+    ``beta`` is the minimum of ``|C| - nu(G[C])`` over vertex covers ``C``.
+    Adding a vertex to ``C`` never lowers that value, so the minimum is
+    reached at ``C = X | N(L' \\ X)`` for some ``X`` within ``L'``, the
+    non-isolated vertices of the side with fewer of them: ``2**|L'|``
+    Hopcroft–Karp calls on small induced subgraphs.
     """
-    edges = list(graph.edges())
-    n = graph.n
-    # seed the incumbent with the better of the two heuristics
-    best = [
-        min(
-            matching_size(greedy_maximal_matching(graph)),
-            matching_size(small_maximal_matching(graph)),
-        )
-    ]
-    covered = [False] * n
-
-    def alive_edges() -> list[tuple[int, int]]:
-        return [(u, v) for u, v in edges if not covered[u] and not covered[v]]
-
-    def recurse(size: int) -> None:
-        if size >= best[0]:
-            return  # cannot improve
-        alive = alive_edges()
-        if not alive:
-            best[0] = min(best[0], size)
-            return
-        # lower bound: the edges of a greedy matching A of the alive edges
-        # have pairwise distinct endpoints, each needs one of its own
-        # covered by a new matching edge, and a new edge covers two
-        # vertices, so at least ceil(|A| / 2) more edges are needed
-        hit: set[int] = set()
-        for a, b in alive:
-            if a not in hit and b not in hit:
-                hit.update((a, b))
-        if size + (len(hit) // 2 + 1) // 2 >= best[0]:
-            return
-        u, v = alive[0]
-        # every maximal matching must cover u or v; branch on the edges
-        # incident to u, then on covering u "from the other side"
-        for w in sorted(graph.neighbors(u)):
-            if covered[w]:
-                continue
-            covered[u] = covered[w] = True
-            recurse(size + 1)
-            covered[u] = covered[w] = False
-        # u stays exposed: every alive neighbour of u must be matched
-        # using one of *its* other edges; branch on covering v via v's
-        # incident edges excluding u
-        for w in sorted(graph.neighbors(v)):
-            if covered[w] or w == u:
-                continue
-            covered[v] = covered[w] = True
-            recurse(size + 1)
-            covered[v] = covered[w] = False
-
-    recurse(0)
-    return best[0]
+    sides: tuple[list[int], list[int]] = ([], [])
+    for v in range(graph.n):
+        if graph.degree(v):
+            sides[graph.side[v]].append(v)
+    small = min(sides, key=len)
+    best = graph.n
+    for mask in range(1 << len(small)):
+        cover: set[int] = set()
+        for k, v in enumerate(small):
+            if mask >> k & 1:
+                cover.add(v)
+            else:
+                cover |= graph.neighbors(v)
+        nu = maximum_matching_size(graph.induced_subgraph(cover)[0])
+        best = min(best, len(cover) - nu)
+    return best

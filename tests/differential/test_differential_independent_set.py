@@ -3,7 +3,7 @@
 :func:`~repro.graphs.vertex_cover.min_weight_vertex_cover` runs its own
 max-flow on the graph's adjacency, and step 2 masks ``N[required]`` out
 instead of building a subgraph.  The reference is the construction it
-replaced: a :class:`~repro.graphs.flow.FlowNetwork` on the induced
+replaced: a :class:`~tests.flow_reference.FlowNetwork` on the induced
 subgraph, with the edge arcs at capacity ``sum(weights) + 1`` so that no
 cut can sever them at any weight.  Covers are unique as sets (the source
 side of the minimal minimum cut does not depend on the maximum flow), so
@@ -23,12 +23,12 @@ from diffutil import bipartite_graphs
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.coloring import inequitable_two_coloring, proper_two_coloring
 from repro.graphs.components import connected_components
-from repro.graphs.flow import FlowNetwork
 from repro.graphs.independent_set import (
     max_weight_independent_set,
     max_weight_independent_set_containing,
 )
 from repro.graphs.vertex_cover import is_vertex_cover, min_weight_vertex_cover
+from tests.flow_reference import FlowNetwork
 
 #: the two cases that ``flow.INF = 2**60`` got wrong: a single edge whose
 #: end weights sum past it, and an Algorithm 1 instance whose free jobs do
@@ -111,6 +111,64 @@ def weighted_subsets(draw: st.DrawFn) -> tuple[BipartiteGraph, list[int], list[i
         else []
     )
     return graph, weights, subset
+
+
+def shuffled_chain(
+    n: int,
+    order: list[int],
+    rising: bool,
+    cycle: bool = False,
+    chords: tuple[tuple[int, int], ...] = (),
+) -> tuple[BipartiteGraph, list[int]]:
+    """A path (or an even cycle) through positions ``0..n-1``, vertex
+    ``order[i]`` at position ``i``, weights rising or falling along it,
+    plus ``chords`` between positions an odd distance apart."""
+    edges = [(order[i], order[i + 1]) for i in range(n - 1)]
+    if cycle:
+        edges.append((order[-1], order[0]))
+    edges += [(order[i], order[j]) for i, j in chords]
+    side = [0] * n
+    weights = [0] * n
+    for i, v in enumerate(order):
+        side[v] = i % 2
+        weights[v] = i + 1 if rising else n - i
+    return BipartiteGraph(n, edges, side=side), weights
+
+
+@st.composite
+def chains(draw: st.DrawFn) -> tuple[BipartiteGraph, list[int]]:
+    """Shuffled paths and even cycles up to 60 vertices, weights rising or
+    falling along them: a phase-based flow needs one pass per
+    augmenting-path length on them, and the greedy pass leaves them
+    cascades of one-unit flows; cycles may carry up to three chords."""
+    cycle = draw(st.booleans())
+    n = 2 * draw(st.integers(2, 30)) if cycle else draw(st.integers(1, 60))
+    order = draw(st.permutations(range(n)))
+    chords: list[tuple[int, int]] = []
+    if cycle:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)):
+            if (i - j) % 2 and (i - j) % n not in (1, n - 1):
+                chords.append((i, j))
+    return shuffled_chain(n, list(order), draw(st.booleans()), cycle, tuple(chords))
+
+
+@given(case=chains())
+def test_cover_on_shuffled_paths_and_cycles_matches_the_generic_flow(case):
+    graph, weights = case
+    cover = min_weight_vertex_cover(graph, weights)
+    assert cover == reference_cover(graph, weights)
+
+
+def test_cover_when_no_neighbour_has_room_for_the_whole_weight():
+    """Left 0 (weight 10) meets rights of 4, 4 and 4, one of them partly
+    used by left 1: the greedy pass splits it and leaves one unit of
+    excess for push-relabel, which has to reroute left 1."""
+    graph = BipartiteGraph.from_parts(2, 3, [(0, 0), (0, 1), (0, 2), (1, 2)])
+    weights = [10, 3, 4, 4, 4]
+    assert min_weight_vertex_cover(graph, weights) == reference_cover(graph, weights)
+    for w1 in range(1, 12):
+        weights = [10, w1, 4, 4, 4]
+        assert min_weight_vertex_cover(graph, weights) == reference_cover(graph, weights)
 
 
 @given(case=weighted_graphs())

@@ -7,6 +7,7 @@ from repro.graphs.generators import matching_graph, path_graph
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
 from repro.scheduling.schedule import Schedule
 from repro.engine import solve
+from repro.io import instance_from_dict, instance_to_dict
 
 F = Fraction
 
@@ -35,6 +36,19 @@ class TestCleanCertificates:
         inst = UnrelatedInstance(matching_graph(2), [[1, 2, 3, 4], [4, 3, 2, 1]])
         report = certify_schedule(solve(inst))
         assert report.ok and report.m == 2
+
+    def test_decoded_unrelated_builds_no_fraction_view(self):
+        # a decoded R instance carries only its tick grid; the certificate
+        # is the one for the same times given to the constructor
+        times = [["1/2", "3/4", "5/6", "7/8"], ["2/3", "1/3", "5/3", "3/2"]]
+        built = UnrelatedInstance(matching_graph(2), times)
+        decoded = instance_from_dict(instance_to_dict(built))
+        assert decoded._times is None
+        assignment = [0, 1, 0, 1]
+        report = certify_schedule(Schedule(decoded, assignment))
+        assert decoded._times is None
+        assert report == certify_schedule(Schedule(built, assignment))
+        assert report.ok and report.recomputed_makespan == F(11, 6)
 
 
 class TestViolationDetection:

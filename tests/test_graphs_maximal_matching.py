@@ -163,6 +163,15 @@ def test_dense_graphs_that_once_took_seconds(p, seed):
     assert minimum_maximal_matching_size(gnnp(10, p, seed=seed)) == 8
 
 
+@pytest.mark.parametrize(
+    "p, seed, beta", [(0.75, 21, 8), (0.8, 0, 8), (0.8, 7, 8), (0.8, 21, 9)]
+)
+def test_dense_graphs_where_branch_and_bound_ran_past_3s(p, seed, beta):
+    """beta on G(10, 10, p) graphs where the pruned branch and bound this
+    replaced ran 3-80 s; the values are the ones it computed."""
+    assert minimum_maximal_matching_size(gnnp(10, p, seed=seed)) == beta
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 10), p=st.floats(0.05, 0.8), seed=st.integers(0, 500))
 def test_property_sandwich(n, p, seed):

@@ -1,8 +1,11 @@
 """Tests for König and weighted minimum vertex covers."""
 
+import random
+
 import numpy as np
 import pytest
 
+from repro.graphs import vertex_cover
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import complete_bipartite, matching_graph, path_graph, star
 from repro.graphs.matching import maximum_matching_size
@@ -98,6 +101,57 @@ class TestWeightedCover:
         assert min_weight_vertex_cover(g, [1, 9, 1, 9, 1], [3, 4]) == {4}
         with pytest.raises(ValueError):
             min_weight_vertex_cover(g, [1] * 5, [5])
+
+
+
+class TestPushRelabelPasses:
+    """Step 2's flow on shuffled long paths and even cycles, where a
+    phase-based max flow (Dinic) needs one pass per augmenting-path length.
+
+    The count of global relabellings (each one breadth-first search of
+    the residual graph) is pinned at about 1.5 times the count measured
+    for the FIFO push–relabel flow, so a change that brings back work
+    per path length fails here; the cover is the lighter side in every
+    case.
+    """
+
+    @staticmethod
+    def shuffled_chain(n: int, rising: bool, cycle: bool):
+        order = list(range(n))
+        random.Random(0).shuffle(order)
+        edges = [(order[i], order[i + 1]) for i in range(n - 1)]
+        if cycle:
+            edges.append((order[-1], order[0]))
+        side = [0] * n
+        weights = [0] * n
+        for i, v in enumerate(order):
+            side[v] = i % 2
+            weights[v] = i + 1 if rising else n - i
+        return BipartiteGraph(n, edges, side=side), weights
+
+    @pytest.mark.parametrize(
+        "n, rising, cycle, bound",
+        [
+            (4001, True, False, 138),  # measured: 92
+            (4001, False, False, 138),  # measured: 92
+            (4000, True, True, 0),  # the greedy pass routes the whole flow
+            (4000, False, True, 138),  # measured: 92
+        ],
+    )
+    def test_global_relabellings_stay_bounded(self, monkeypatch, n, rising, cycle, bound):
+        graph, weights = self.shuffled_chain(n, rising, cycle)
+        calls = []
+        relabel = vertex_cover._global_relabel
+
+        def counted(*args):
+            calls.append(1)
+            return relabel(*args)
+
+        monkeypatch.setattr(vertex_cover, "_global_relabel", counted)
+        cover = min_weight_vertex_cover(graph, weights)
+        assert len(calls) <= bound
+        sides = [{v for v in range(n) if graph.side[v] == s} for s in (0, 1)]
+        assert cover == min(sides, key=lambda part: sum(weights[v] for v in part))
 
 
 class TestIsVertexCover:
