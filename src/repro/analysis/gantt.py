@@ -16,10 +16,10 @@ from repro.scheduling.schedule import Schedule
 __all__ = ["render_gantt", "render_schedule_summary"]
 
 
-def _bar(segments: list[tuple[int, Fraction]], scale: Fraction, width: int) -> str:
+def _bar(segments: list[tuple[int, int]], scale: Fraction, width: int) -> str:
     """One machine's bar: each job drawn as its id repeated to length.
 
-    ``segments`` are ``(job, duration)`` pairs; ``scale`` converts time to
+    ``segments`` are ``(job, ticks)`` pairs; ``scale`` converts ticks to
     columns.  Every job occupies at least one column so short jobs stay
     visible; the bar is clipped to ``width`` (clipping only triggers when
     minimum-width padding overflows).
@@ -54,12 +54,13 @@ def render_gantt(schedule: Schedule, width: int = 64) -> str:
         for i in range(inst.m):
             lines.append(f"M{i:<3}|{' ' * width}| 0")
         return "\n".join(lines)
-    scale = Fraction(width) / makespan
+    grid_scale, ticks = inst.grid()
+    scale = Fraction(width) / (makespan * grid_scale)
     completions = schedule.completion_times()
     for i, jobs in enumerate(schedule.machine_groups()):
         segments = []
         for j in jobs:
-            t = inst.processing_time(i, j)
+            t = ticks[i][j]
             if t is None:  # pragma: no cover - infeasible placements skipped
                 continue
             segments.append((j, t))

@@ -45,10 +45,10 @@ from repro.scheduling.instance import SchedulingInstance
 from repro.certify.oracle import certified_optimal
 from repro.certify.validators import (
     CertificateReport,
-    _frac_str,
     certify_schedule,
     instance_lower_bound,
 )
+from repro.io import frac_str
 
 __all__ = [
     "AuditRow",
@@ -89,10 +89,10 @@ class AuditRow:
             "algorithm": self.algorithm,
             "n": self.n,
             "m": self.m,
-            "makespan": _frac_str(self.makespan),
-            "optimal": _frac_str(self.optimal),
-            "lower_bound": _frac_str(self.lower_bound),
-            "bound": _frac_str(self.bound),
+            "makespan": frac_str(self.makespan),
+            "optimal": frac_str(self.optimal),
+            "lower_bound": frac_str(self.lower_bound),
+            "bound": frac_str(self.bound),
             "ratio": self.ratio,
             "status": self.status,
             "detail": self.detail,

@@ -40,18 +40,17 @@ by recorded ``(makespan, nodes, proof)`` values in
 historical measurement against the per-node recomputing loop.
 
 **Integer scale.**  Every makespan the search can reach is an integer
-multiple of ``1 / Q``: a uniform completion is ``load * den_i / num_i``
-(the capacity-bound tail spans land on the same grid) and an unrelated
-one is a sum of processing times, so the quantum ``Q`` is the lcm of the
-speed numerators resp. of the time denominators (:func:`_quantum`).
-For uniform speeds this is the grid that the capacity bound and list
-scheduling run on too (:func:`~repro.utils.rationals.speed_grid`).  The
-branch and bound therefore runs on integers scaled by ``Q`` — per-job
-times, machine loads, suffix volumes, the incumbent and both pruning
-bounds — and the optimum becomes a :class:`~fractions.Fraction` again
-once, when the winning schedule is built.  Scaling preserves order and
-ties, so the tree is the one an exact rational search explores.  A value
-off the ``1/Q`` grid raises instead of being rounded.
+multiple of ``1 / Q``, where ``(Q, times)`` is the instance's own grid
+(:meth:`~repro.scheduling.instance.SchedulingInstance.grid`): a sum of
+processing times is a sum of ticks, and on uniform machines ``Q`` is the
+lcm of the speed numerators (:func:`~repro.utils.rationals.speed_grid`),
+the grid the capacity-bound tail spans land on too.  The branch and
+bound therefore runs on integers scaled by ``Q`` — per-job times,
+machine loads, suffix volumes, the incumbent and both pruning bounds —
+and the optimum becomes a :class:`~fractions.Fraction` again once, when
+the winning schedule is built.  Scaling preserves order and ties, so the
+tree is the one an exact rational search explores.  A value off the
+``1/Q`` grid raises instead of being rounded.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from fractions import Fraction
 from repro.exceptions import InfeasibleInstanceError, ReproError
 from repro.graphs.components import connected_components
 from repro.scheduling.bounds import min_cover_time_with_loads
-from repro.scheduling.instance import SchedulingInstance, UniformInstance, UnrelatedInstance
+from repro.scheduling.instance import SchedulingInstance, UniformInstance
 from repro.scheduling.schedule import Schedule
 from repro.certify.validators import instance_lower_bound
 from repro.utils.rationals import _to_grid, speed_grid
@@ -155,23 +154,6 @@ def _branch_order(instance: SchedulingInstance) -> tuple[list[int], list[int]]:
     return branched, tail
 
 
-def _quantum(instance: SchedulingInstance) -> int:
-    """The integer scale ``Q`` of the search.
-
-    Every reachable makespan is ``load * den_i / num_i`` (uniform; the
-    capacity-bound tail spans hit the same grid) or a sum of processing
-    times (unrelated), so multiplying by the lcm of the speed
-    numerators (:func:`~repro.utils.rationals.speed_grid`) resp. by the
-    instance's own time scale (:attr:`UnrelatedInstance.scale`, the lcm
-    of the time denominators) always lands on an integer.
-    """
-    if isinstance(instance, UniformInstance):
-        return speed_grid(instance.speeds)[0]
-    if isinstance(instance, UnrelatedInstance):
-        return instance.scale
-    raise ReproError(f"no integer grid for {type(instance).__name__}")
-
-
 class _SearchContext:
     """Everything the branch and bound precomputes once per instance.
 
@@ -202,7 +184,7 @@ class _SearchContext:
         n, m = instance.n, instance.m
         self.n = n
         self.m = m
-        self.quantum = quantum = _quantum(instance)
+        self.quantum, self.times = instance.grid()
         if isinstance(instance, UniformInstance):
             self.uniform = True
             self.speeds: tuple[Fraction, ...] = instance.speeds
@@ -214,19 +196,6 @@ class _SearchContext:
             self.speeds = ()
             self.p = ()
             self.unit_time = ()
-        self.times: list[list[int | None]]
-        if isinstance(instance, UnrelatedInstance):
-            # the quantum is the instance's own scale: the times are its ticks
-            self.times = [list(row) for row in instance.ticks]
-        else:
-            self.times = [
-                [
-                    None if (t := instance.processing_time(i, j)) is None
-                    else _to_grid(t, quantum)
-                    for j in range(n)
-                ]
-                for i in range(m)
-            ]
         graph = instance.graph
         self.neighbor_sets: list[frozenset[int]] = [
             graph.neighbors(j) for j in range(n)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-# the shared num/den wire formatter (the auditor imports it under this
-# private name, which predates the public repro.io export)
-from repro.io import frac_str as _frac_str
+from repro.io import frac_str
 from repro.scheduling.bounds import (
     uniform_capacity_lower_bound,
     unrelated_lower_bound,
@@ -95,10 +93,10 @@ class CertificateReport:
             "eligibility_violations": [
                 list(v) for v in self.eligibility_violations
             ],
-            "claimed_makespan": _frac_str(self.claimed_makespan),
-            "recomputed_makespan": _frac_str(self.recomputed_makespan),
+            "claimed_makespan": frac_str(self.claimed_makespan),
+            "recomputed_makespan": frac_str(self.recomputed_makespan),
             "makespan_consistent": self.makespan_consistent,
-            "lower_bound": _frac_str(self.lower_bound),
+            "lower_bound": frac_str(self.lower_bound),
             "lower_bound_respected": self.lower_bound_respected,
             "ok": self.ok,
         }
@@ -159,33 +157,21 @@ def _recompute_makespan(
 ) -> Fraction | None:
     """Makespan re-derived from the raw job data, for an assignment that
     respects eligibility: on uniform machines the integer ``p_j`` summed
-    per machine and divided once by its speed, on unrelated ones the
+    per machine and divided once by its speed, otherwise the instance's
     integer ticks summed per machine and the largest divided once by the
-    scale, otherwise the processing times summed (``None`` if some
-    assigned pair has none)."""
+    grid's scale (``None`` if some assigned pair has no tick)."""
+    loads = [0] * instance.m
     if isinstance(instance, UniformInstance):
-        loads = [0] * instance.m
         for j, i in enumerate(assignment):
             loads[i] += instance.p[j]
         return max(Fraction(load) / s for load, s in zip(loads, instance.speeds))
-    if isinstance(instance, UnrelatedInstance):
-        jobs: list[list[int]] = [[] for _ in range(instance.m)]
-        for j, i in enumerate(assignment):
-            jobs[i].append(j)
-        ticks: list[int] = []
-        for i, js in enumerate(jobs):
-            t = instance.load_ticks(i, js)
-            if t is None:
-                return None
-            ticks.append(t)
-        return Fraction(max(ticks), instance.scale)
-    totals = [Fraction(0)] * instance.m
+    scale, ticks = instance.grid()
     for j, i in enumerate(assignment):
-        t = instance.processing_time(i, j)
+        t = ticks[i][j]
         if t is None:
             return None
-        totals[i] += t
-    return max(totals)
+        loads[i] += t
+    return Fraction(max(loads), scale)
 
 
 def certify_schedule(

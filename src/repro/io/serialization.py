@@ -101,10 +101,6 @@ def frac_str(value: Fraction | None) -> str | None:
     return None if value is None else f"{value.numerator}/{value.denominator}"
 
 
-# historical private name (internal callers predate the public export)
-_frac_str = frac_str
-
-
 def _check_header(data: dict[str, Any], kind: str) -> None:
     if not isinstance(data, dict):
         raise InvalidInstanceError(f"expected a JSON object for {kind}")
@@ -308,7 +304,7 @@ def instance_to_dict(instance: SchedulingInstance) -> dict[str, Any]:
             "kind": "uniform_instance",
             "graph": graph_payload,
             "p": list(instance.p),
-            "speeds": [_frac_str(s) for s in instance.speeds],
+            "speeds": [frac_str(s) for s in instance.speeds],
         }
         if instance.has_eligibility:
             payload["eligible"] = _eligible_to_lists(instance)
@@ -395,7 +391,7 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
         "kind": "schedule",
         "instance": instance_payload,
         "assignment": list(schedule.assignment),
-        "makespan": _frac_str(schedule.makespan),
+        "makespan": frac_str(schedule.makespan),
         "feasible": schedule.is_feasible(),
     }
 

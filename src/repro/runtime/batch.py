@@ -47,7 +47,7 @@ from repro.certify.validators import instance_lower_bound
 # (and so this module) before it defines solve_payload
 from repro.engine import service
 from repro.exceptions import InvalidInstanceError
-from repro.io import dump_jsonl_line, frac_str as _frac_str, instance_to_dict
+from repro.io import dump_jsonl_line, frac_str, instance_to_dict
 from repro.runtime.cache import ResultCache, ShardedResultCache, task_key
 from repro.scheduling.instance import SchedulingInstance
 
@@ -135,8 +135,8 @@ class BatchResult:
             "n": self.n,
             "m": self.m,
             "edges": self.edges,
-            "makespan": _frac_str(self.makespan),
-            "lower_bound": _frac_str(self.lower_bound),
+            "makespan": frac_str(self.makespan),
+            "lower_bound": frac_str(self.lower_bound),
             "ratio": self.ratio,
             "feasible": self.feasible,
             "wall_time_s": self.wall_time_s,
@@ -267,8 +267,8 @@ def _solve_task(task: _Task) -> dict[str, Any]:
         return record
     lower = instance_lower_bound(instance)
     record.update(
-        makespan=_frac_str(schedule.makespan),
-        lower_bound=_frac_str(lower),
+        makespan=frac_str(schedule.makespan),
+        lower_bound=frac_str(lower),
         feasible=schedule.is_feasible(),
         wall_time_s=wall,
     )

@@ -6,8 +6,8 @@ incumbent and skipping conflict-violating placements.  Exponential — the
 problem is strongly NP-hard even without the graph — but comfortably exact
 for the oracle sizes used in tests (``n <= ~16``).
 
-Algorithm 1 also calls this directly for its trivial ``sum p_j <= 4`` base
-case (step 1).
+Algorithm 1 also calls this directly for its ``sum p_j <= 16`` base case
+(step 1; :mod:`repro.core.sqrt_approx` explains the threshold).
 """
 
 from __future__ import annotations
@@ -49,14 +49,14 @@ def brute_force_optimal(
     order = _job_order(instance)
     graph = instance.graph
 
-    # cached processing times; None marks forbidden pairs
-    times: list[list[Fraction | None]] = [
-        [instance.processing_time(i, j) for j in range(n)] for i in range(m)
-    ]
+    # processing times in ticks of 1 / scale; None marks forbidden pairs
+    scale, times = instance.grid()
 
     best_assignment: list[int] | None = None
-    best_makespan: Fraction | None = upper_bound
-    completions: list[Fraction] = [Fraction(0)] * m
+    best_makespan: Fraction | int | None = (
+        None if upper_bound is None else upper_bound * scale
+    )
+    completions: list[int] = [0] * m
     machine_jobs: list[set[int]] = [set() for _ in range(m)]
     assignment: list[int] = [-1] * n
 

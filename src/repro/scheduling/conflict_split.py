@@ -20,20 +20,27 @@ Two assignment modes:
   whole color classes map to machines, largest total work to the
   fastest machine, then jobs rebalance one at a time onto the emptiest
   compatible machine;
-* eligibility masks or unrelated forbidden pairs: per-job greedy in
+* eligibility masks or unrelated forbidden pairs:
+  :func:`~repro.scheduling.list_scheduling.graph_aware_greedy` in
   coloring order, minimising completion time over machines that allow
   the job and hold none of its neighbours.
+
+Both compare completion times as integers: machine ``i`` with ``load``
+units of work ends at ``load * u_i`` ticks on the speeds'
+:func:`~repro.utils.rationals.speed_grid`, and the greedy runs on the
+instance's :meth:`~repro.scheduling.instance.SchedulingInstance.grid`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from repro.exceptions import InfeasibleInstanceError
 from repro.graphs.conflict import ConflictGraph
 from repro.scheduling.instance import SchedulingInstance, UniformInstance
+from repro.scheduling.list_scheduling import graph_aware_greedy
 from repro.scheduling.schedule import Schedule
+from repro.utils.rationals import speed_grid
 
 __all__ = [
     "mcs_order",
@@ -114,12 +121,11 @@ def _split_classes_uniform(
     # overkill; instead move single jobs to empty machines while the move
     # strictly lowers the makespan estimate
     if k < instance.m:
+        _, unit = speed_grid(instance.speeds)
         changed = True
         while changed:
             changed = False
-            worst = max(
-                range(instance.m), key=lambda i: Fraction(loads[i]) / instance.speeds[i]
-            )
+            worst = max(range(instance.m), key=lambda i: loads[i] * unit[i])
             if loads[worst] == 0:
                 break
             movable = [j for j in range(instance.n) if assignment[j] == worst]
@@ -129,46 +135,15 @@ def _split_classes_uniform(
                 # an empty machine can adopt any single job (independent
                 # sets of size one), preferring the longest one
                 j = max(movable, key=lambda jj: instance.p[jj])
-                before = Fraction(loads[worst]) / instance.speeds[worst]
-                after_worst = Fraction(loads[worst] - instance.p[j]) / instance.speeds[worst]
-                after_new = Fraction(instance.p[j]) / instance.speeds[i]
+                before = loads[worst] * unit[worst]
+                after_worst = (loads[worst] - instance.p[j]) * unit[worst]
+                after_new = instance.p[j] * unit[i]
                 if max(after_worst, after_new) < before and len(movable) > 1:
                     assignment[j] = i
                     loads[i] += instance.p[j]
                     loads[worst] -= instance.p[j]
                     changed = True
                 break
-    return Schedule(instance, assignment)
-
-
-def _per_job_greedy(
-    instance: SchedulingInstance, order: list[int]
-) -> Schedule:
-    """Eligibility-aware per-job assignment in coloring order."""
-    graph = instance.graph
-    machine_jobs: list[set[int]] = [set() for _ in range(instance.m)]
-    completions: list[Fraction] = [Fraction(0)] * instance.m
-    assignment = [-1] * instance.n
-    for j in order:
-        neighbors = graph.neighbors(j)
-        best_i = None
-        best_done: Fraction | None = None
-        for i in range(instance.m):
-            t = instance.processing_time(i, j)
-            if t is None or machine_jobs[i] & neighbors:
-                continue
-            done = completions[i] + t
-            if best_done is None or done < best_done:
-                best_done = done
-                best_i = i
-        if best_i is None:
-            raise InfeasibleInstanceError(
-                f"no machine can take job {j}: every eligible machine "
-                "already holds a conflicting job"
-            )
-        assignment[j] = best_i
-        machine_jobs[best_i].add(j)
-        completions[best_i] = best_done  # type: ignore[assignment]
     return Schedule(instance, assignment)
 
 
@@ -199,4 +174,10 @@ def conflict_color_split(instance: SchedulingInstance) -> Schedule:
     )
     if uniform_unmasked:
         return _split_classes_uniform(instance, color, k)
-    return _per_job_greedy(instance, order)
+    schedule = graph_aware_greedy(instance, order)
+    if schedule is None:
+        raise InfeasibleInstanceError(
+            "greedy assignment in coloring order left a job with no machine: "
+            "every eligible machine already holds a conflicting job"
+        )
+    return schedule

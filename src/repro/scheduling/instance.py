@@ -11,10 +11,13 @@ non-increasingly (the paper's convention ``s_1 >= ... >= s_m``).
 speeds 1), optionally with per-job *machine-eligibility masks* (the CP
 ``alternative`` + eligibility idiom); :class:`UnrelatedInstance` covers
 ``R`` including *forbidden* job/machine pairs (processing time ``None``),
-which Algorithm 5 uses for its machine-pinned artificial jobs.  An
-unrelated instance stores its times as integer ticks of ``1 / scale``
-(``scale`` minimal), the grid Algorithms 3-5, the oracle and the
-completion times compute on; the :class:`Fraction` matrix is a view.
+which Algorithm 5 uses for its machine-pinned artificial jobs.
+
+Every reader of processing times goes through one integer grid,
+:meth:`SchedulingInstance.grid`: ``(scale, ticks)`` with job ``j`` taking
+``ticks[i][j] / scale`` on machine ``i``.  An unrelated instance stores
+its grid (``scale`` minimal); a uniform one builds ``p_j * u_i`` on its
+speeds' :func:`~repro.utils.rationals.speed_grid`.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ __all__ = [
 
 
 class SchedulingInstance(ABC):
-    """Common interface: a job set with an incompatibility graph and a
-    machine-dependent processing-time oracle."""
+    """Common interface: a job set with an incompatibility graph and
+    machine-dependent processing times on an integer grid."""
 
     graph: ConflictGraph
 
@@ -57,8 +60,13 @@ class SchedulingInstance(ABC):
         """Number of machines."""
 
     @abstractmethod
-    def processing_time(self, machine: int, job: int) -> Fraction | None:
-        """Time of ``job`` on ``machine``; ``None`` when forbidden."""
+    def grid(self) -> tuple[int, Sequence[Sequence[int | None]]]:
+        """The processing times as integers: ``(scale, ticks)``.
+
+        ``job`` takes ``ticks[machine][job] / scale`` on ``machine``, and
+        the tick is ``None`` where the job may not run there.  Sums of
+        ticks compare as the sums of times do.
+        """
 
     @abstractmethod
     def machine_completion(self, machine: int, jobs: Iterable[int]) -> Fraction:
@@ -68,9 +76,9 @@ class SchedulingInstance(ABC):
     def with_graph(self, graph: ConflictGraph) -> "SchedulingInstance":
         """The same instance data under a different graph representation."""
 
+    @abstractmethod
     def allows(self, machine: int, job: int) -> bool:
         """Whether ``job`` may run on ``machine`` at all."""
-        return self.processing_time(machine, job) is not None
 
 
 class UniformInstance(SchedulingInstance):
@@ -191,12 +199,28 @@ class UniformInstance(SchedulingInstance):
                 return machine in mask
         return True
 
-    def processing_time(self, machine: int, job: int) -> Fraction | None:
-        if self.eligible is not None:
-            mask = self.eligible[job]
-            if mask is not None and machine not in mask:
-                return None
-        return Fraction(self.p[job]) / self.speeds[machine]
+    def grid(self) -> tuple[int, list[list[int | None]]]:
+        """``p_j / s_i`` on the speeds' quantum ``Q``: ``(Q, p_j * u_i)``.
+
+        This is the :func:`~repro.utils.rationals.speed_grid` of all the
+        speeds, the grid the capacity bound and list scheduling use; a
+        masked pair's tick is ``None``.
+        """
+        return self._ticks(range(self.m))
+
+    def _ticks(self, machines: Sequence[int]) -> tuple[int, list[list[int | None]]]:
+        """``(Q, ticks)`` for the rows of ``machines``, on their speed grid."""
+        quantum, unit_times = speed_grid([self.speeds[i] for i in machines])
+        p, masks = self.p, self.eligible
+        if masks is None:
+            return quantum, [[pj * u for pj in p] for u in unit_times]
+        return quantum, [
+            [
+                pj * u if (mask := masks[j]) is None or i in mask else None
+                for j, pj in enumerate(p)
+            ]
+            for i, u in zip(machines, unit_times)
+        ]
 
     def machine_completion(self, machine: int, jobs: Iterable[int]) -> Fraction:
         if self.eligible is not None:
@@ -237,23 +261,10 @@ class UniformInstance(SchedulingInstance):
         :func:`~repro.utils.rationals.speed_grid`, with no
         :class:`Fraction` per entry.
         """
-        idx = list(range(self.m)) if machines is None else list(machines)
-        # p_j / s_i = p_j * u_i / Q on the speeds' grid: integer ticks,
-        # which from_ticks reduces to the minimal scale
-        quantum, unit_times = speed_grid([self.speeds[i] for i in idx])
-        p, masks = self.p, self.eligible
-        ticks: list[list[int | None]]
-        if masks is None:
-            ticks = [[pj * u for pj in p] for u in unit_times]
-        else:
-            ticks = [
-                [
-                    pj * u if (mask := masks[j]) is None or i in mask else None
-                    for j, pj in enumerate(p)
-                ]
-                for i, u in zip(idx, unit_times)
-            ]
-        return UnrelatedInstance.from_ticks(self.graph, quantum, ticks)
+        idx = range(self.m) if machines is None else list(machines)
+        # integer ticks on the chosen speeds' grid, which from_ticks
+        # reduces to the minimal scale
+        return UnrelatedInstance.from_ticks(self.graph, *self._ticks(idx))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"UniformInstance(n={self.n}, m={self.m}, sum_p={self.total_p})"
@@ -268,15 +279,14 @@ class UnrelatedInstance(SchedulingInstance):
     artificial load jobs this way).  ``scale`` is minimal, as
     :func:`~repro.utils.rationals.time_grid` makes it, so
     ``gcd(scale, *ticks) == 1``; sums of times compare like sums of
-    ticks.  :attr:`times` is the same matrix as exact rationals, built
-    on first use.
+    ticks.  :meth:`grid` hands out ``(scale, ticks)`` as stored.
 
     The constructor takes rationals (ints, ``"num/den"`` strings,
     floats read through their decimal form, :class:`Fraction`);
     :meth:`from_ticks` takes a grid directly and runs the same checks.
     """
 
-    __slots__ = ("graph", "scale", "ticks", "_forbidden", "_times")
+    __slots__ = ("graph", "scale", "ticks", "_forbidden")
 
     def __init__(
         self,
@@ -303,7 +313,6 @@ class UnrelatedInstance(SchedulingInstance):
             rows.append(tuple(conv))
         scale, ticks = time_grid(rows)
         self._set_grid(graph, scale, ticks)
-        self._times: tuple[tuple[Fraction | None, ...], ...] | None = tuple(rows)
 
     @classmethod
     def from_ticks(
@@ -321,7 +330,6 @@ class UnrelatedInstance(SchedulingInstance):
         """
         instance = cls.__new__(cls)
         instance._set_grid(graph, scale, ticks)
-        instance._times = None
         return instance
 
     def _set_grid(
@@ -367,17 +375,6 @@ class UnrelatedInstance(SchedulingInstance):
         self._forbidden = forbidden
 
     @property
-    def times(self) -> tuple[tuple[Fraction | None, ...], ...]:
-        """``times[i][j] = ticks[i][j] / scale`` as exact rationals."""
-        if self._times is None:
-            scale = self.scale
-            self._times = tuple(
-                tuple(None if t is None else Fraction(t, scale) for t in row)
-                for row in self.ticks
-            )
-        return self._times
-
-    @property
     def m(self) -> int:
         return len(self.ticks)
 
@@ -399,11 +396,11 @@ class UnrelatedInstance(SchedulingInstance):
             )
         return UnrelatedInstance.from_ticks(graph, self.scale, self.ticks)
 
+    def grid(self) -> tuple[int, tuple[tuple[int | None, ...], ...]]:
+        return self.scale, self.ticks
+
     def allows(self, machine: int, job: int) -> bool:
         return self.ticks[machine][job] is not None
-
-    def processing_time(self, machine: int, job: int) -> Fraction | None:
-        return self.times[machine][job]
 
     def load_ticks(self, machine: int, jobs: Iterable[int]) -> int | None:
         """Total ticks of ``jobs`` on ``machine``; ``None`` if one is forbidden there."""

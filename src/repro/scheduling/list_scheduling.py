@@ -15,7 +15,6 @@ guarantee and may even fail to complete — experiments record both.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from repro.exceptions import InvalidInstanceError
@@ -179,24 +178,25 @@ def graph_aware_greedy(
         else:
             order = list(range(instance.n))
     graph = instance.graph
+    _, times = instance.grid()
     machine_jobs: list[set[int]] = [set() for _ in range(instance.m)]
-    completions: list[Fraction] = [Fraction(0)] * instance.m
+    completions = [0] * instance.m  # in ticks
     assignment = [-1] * instance.n
     for j in order:
         neighbors = graph.neighbors(j)
         best_i = None
-        best_done: Fraction | None = None
+        best_done = 0
         for i in range(instance.m):
-            t = instance.processing_time(i, j)
+            t = times[i][j]
             if t is None or machine_jobs[i] & neighbors:
                 continue
             done = completions[i] + t
-            if best_done is None or done < best_done:
+            if best_i is None or done < best_done:
                 best_done = done
                 best_i = i
         if best_i is None:
             return None
         assignment[j] = best_i
         machine_jobs[best_i].add(j)
-        completions[best_i] += instance.processing_time(best_i, j)  # type: ignore[operator]
+        completions[best_i] = best_done
     return Schedule(instance, assignment)

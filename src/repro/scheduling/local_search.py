@@ -53,21 +53,21 @@ def improve_schedule(
     schedule.assert_feasible()
     inst = schedule.instance
     m = inst.m
+    scale, times = inst.grid()
     assignment = list(schedule.assignment)
     machine_jobs: list[set[int]] = [set() for _ in range(m)]
     for j, i in enumerate(assignment):
         machine_jobs[i].add(j)
-    loads: list[Fraction] = [
-        inst.machine_completion(i, machine_jobs[i]) for i in range(m)
-    ]
-    initial = max(loads) if loads else Fraction(0)
+    # a feasible schedule has a tick on every assigned pair
+    loads = [sum(times[i][j] for j in machine_jobs[i]) for i in range(m)]
+    initial = Fraction(max(loads), scale)
     graph = inst.graph
     moves = swaps = rounds = 0
 
     def can_host(i: int, j: int, leaving: int | None = None) -> bool:
         """Whether machine ``i`` may take job ``j`` (graph + forbidden),
         pretending job ``leaving`` has already left it."""
-        if inst.processing_time(i, j) is None:
+        if times[i][j] is None:
             return False
         others = machine_jobs[i]
         for neighbor in graph.neighbors(j):
@@ -75,14 +75,14 @@ def improve_schedule(
                 return False
         return True
 
-    def lex_better(src: int, dst: int, new_src: Fraction, new_dst: Fraction) -> bool:
+    def lex_better(src: int, dst: int, new_src: int, new_dst: int) -> bool:
         """Whether replacing ``loads[src], loads[dst]`` with the new
         values lowers ``(peak, count-at-peak)`` lexicographically."""
         old_peak = max(loads)
         old_count = sum(1 for value in loads if value == old_peak)
         other_peak = max(
             (loads[i] for i in range(m) if i not in (src, dst)),
-            default=Fraction(0),
+            default=0,
         )
         new_peak = max(other_peak, new_src, new_dst)
         if new_peak != old_peak:
@@ -99,12 +99,12 @@ def improve_schedule(
         critical = [i for i in range(m) if loads[i] == cmax]
         for src in critical:
             for j in sorted(machine_jobs[src]):
-                t_src = inst.processing_time(src, j)
+                t_src = times[src][j]
                 # relocation: src loses j, dst gains it
                 for dst in sorted(range(m), key=lambda i: loads[i]):
                     if dst == src:
                         continue
-                    t_dst = inst.processing_time(dst, j)
+                    t_dst = times[dst][j]
                     if t_dst is None or not can_host(dst, j):
                         continue
                     if lex_better(src, dst, loads[src] - t_src, loads[dst] + t_dst):
@@ -116,9 +116,9 @@ def improve_schedule(
                     if dst == src:
                         continue
                     for k in sorted(machine_jobs[dst]):
-                        t_k_dst = inst.processing_time(dst, k)
-                        t_k_src = inst.processing_time(src, k)
-                        t_j_dst = inst.processing_time(dst, j)
+                        t_k_dst = times[dst][k]
+                        t_k_src = times[src][k]
+                        t_j_dst = times[dst][j]
                         if t_k_src is None or t_j_dst is None:
                             continue
                         if not can_host(src, k, leaving=j):
@@ -145,8 +145,8 @@ def improve_schedule(
         machine_jobs[dst].remove(k)
         machine_jobs[src].add(k)
         machine_jobs[dst].add(j)
-        loads[src] += inst.processing_time(src, k) - inst.processing_time(src, j)
-        loads[dst] += inst.processing_time(dst, j) - inst.processing_time(dst, k)
+        loads[src] += times[src][k] - times[src][j]
+        loads[dst] += times[dst][j] - times[dst][k]
         assignment[j] = dst
         assignment[k] = src
 

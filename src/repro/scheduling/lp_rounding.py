@@ -27,7 +27,6 @@ optimum used by the benchmark tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -73,11 +72,12 @@ class LpRoundingResult:
 
 def greedy_min_time_schedule(instance: UnrelatedInstance) -> Schedule:
     """Every job on its fastest allowed machine (graph-blind upper bound)."""
+    _, ticks = instance.grid()
     assignment = []
     for j in range(instance.n):
         best_i, best_t = None, None
         for i in range(instance.m):
-            t = instance.times[i][j]
+            t = ticks[i][j]
             if t is not None and (best_t is None or t < best_t):
                 best_i, best_t = i, t
         assignment.append(best_i)
@@ -169,10 +169,14 @@ def _round_vertex(
     return Schedule(instance, assignment, check=False)
 
 
-def _lp_float(value: Fraction, what: str) -> float:
-    """``float(value)`` for the LP, refusing values outside float range."""
+def _lp_float(num: int, den: int, what: str) -> float:
+    """``num / den`` for the LP, refusing values outside float range.
+
+    Integer true division rounds correctly, so this is
+    ``float(Fraction(num, den))`` without building the ``Fraction``.
+    """
     try:
-        return float(value)
+        return num / den
     except OverflowError:
         raise InvalidInstanceError(
             f"a {what} is outside float range; the LP cannot represent it"
@@ -193,9 +197,10 @@ def lst_two_approx(
     """
     if instance.n == 0:
         return LpRoundingResult(Schedule(instance, []), 0.0, 0)
+    scale, ticks = instance.grid()
     times = [
-        [None if t is None else _lp_float(t, "processing time") for t in row]
-        for row in instance.times
+        [None if t is None else _lp_float(t, scale, "processing time") for t in row]
+        for row in ticks
     ]
     n, m = instance.n, instance.m
     # bounds: max-min job time below, greedy schedule above
@@ -205,7 +210,8 @@ def lst_two_approx(
     ]
     lo = max(max(mins), sum(mins) / m)
     greedy = greedy_min_time_schedule(instance)
-    hi = _lp_float(greedy.makespan, "greedy makespan")
+    span = greedy.makespan
+    hi = _lp_float(span.numerator, span.denominator, "greedy makespan")
     if hi == 0:  # all jobs take zero time everywhere they are allowed
         return LpRoundingResult(greedy, 0.0, 0)
     lo = min(lo, hi)

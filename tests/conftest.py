@@ -90,3 +90,12 @@ def random_r2(
             for row in times
         ]
     return UnrelatedInstance(g, times)
+
+
+def grid_rationals(instance) -> tuple[tuple[Fraction | None, ...], ...]:
+    """The instance's processing times as exact rationals, read off its
+    ``grid()``; ``None`` where the job may not run on the machine."""
+    scale, ticks = instance.grid()
+    return tuple(
+        tuple(None if t is None else Fraction(t, scale) for t in row) for row in ticks
+    )

@@ -115,4 +115,4 @@ class TestSuites:
     def test_r2_suite(self):
         inst = random_r2_instance(12, seed=5)
         assert inst.m == 2
-        assert all(t is not None for row in inst.times for t in row)
+        assert all(t is not None for row in inst.grid()[1] for t in row)

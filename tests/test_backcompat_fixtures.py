@@ -85,7 +85,7 @@ class TestInstancePayloads:
             (i, j)
             for i in range(instance.m)
             for j in range(instance.n)
-            if instance.processing_time(i, j) is None
+            if not instance.allows(i, j)
         ]
         assert forbidden  # the fixture's point is the None entries
 

@@ -15,7 +15,7 @@ from repro.certify import (
     certified_optimal_makespan,
     certify_schedule,
 )
-from repro.certify.oracle import _SearchContext, _quantum
+from repro.certify.oracle import _SearchContext
 from repro.exceptions import InfeasibleInstanceError, ReproError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.conflict import CompleteMultipartiteGraph
@@ -34,7 +34,7 @@ from repro.scheduling.instance import (
     UnrelatedInstance,
     unit_uniform_instance,
 )
-from repro.utils.rationals import _to_grid
+from repro.utils.rationals import _to_grid, speed_grid
 
 from tests.conftest import random_bipartite, random_r2, random_uniform_instance
 
@@ -87,13 +87,14 @@ class TestMatchesBruteForce:
     def test_unrelated_with_forbidden_pairs(self, rng):
         for _ in range(10):
             inst = random_r2(rng)
-            times = [list(row) for row in inst.times]
+            scale, grid = inst.grid()
+            ticks = [list(row) for row in grid]
             # forbid each job on one machine, alternating; this may make
             # the instance genuinely infeasible (forced co-location of
             # conflicting jobs) — both solvers must then agree on that
             for j in range(inst.n):
-                times[j % 2][j] = None
-            pinned = UnrelatedInstance(inst.graph, times)
+                ticks[j % 2][j] = None
+            pinned = UnrelatedInstance.from_ticks(inst.graph, scale, ticks)
             try:
                 naive = brute_force_makespan(pinned)
             except InfeasibleInstanceError:
@@ -360,7 +361,7 @@ class TestPinnedSearch:
                 for i in range(3)
             ]
             inst = UnrelatedInstance(g, times)
-            assert _quantum(inst) > 1
+            assert inst.grid()[0] > 1
             got.append(self._outcome(inst))
             assert Fraction(got[-1][0]) == brute_force_makespan(inst)
         assert got == PINNED_R_RATIONAL
@@ -394,8 +395,8 @@ class TestIntegerScale:
         graph = gnnp(7, 0.3, seed=9)
         p = [int(x) for x in np.random.default_rng(17).integers(1, 9, graph.n)]
         inst = UniformInstance(graph, p, geometric_speeds(3, 2))
-        quantum = _quantum(inst)
-        assert quantum == _SearchContext(inst).quantum
+        quantum, _ = inst.grid()
+        assert quantum == speed_grid(inst.speeds)[0] == _SearchContext(inst).quantum
         result = certified_optimal(inst)
         assert Fraction(_to_grid(result.makespan, quantum), quantum) == result.makespan
         # a value off the exact grid is refused, not rounded

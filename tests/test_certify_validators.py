@@ -43,10 +43,10 @@ class TestCleanCertificates:
         times = [["1/2", "3/4", "5/6", "7/8"], ["2/3", "1/3", "5/3", "3/2"]]
         built = UnrelatedInstance(matching_graph(2), times)
         decoded = instance_from_dict(instance_to_dict(built))
-        assert decoded._times is None
+        assert not hasattr(decoded, "times")
         assignment = [0, 1, 0, 1]
         report = certify_schedule(Schedule(decoded, assignment))
-        assert decoded._times is None
+        assert not hasattr(decoded, "times")
         assert report == certify_schedule(Schedule(built, assignment))
         assert report.ok and report.recomputed_makespan == F(11, 6)
 

@@ -103,7 +103,7 @@ class TestV2Serialization:
         payload = instance_to_dict(inst)
         assert payload["format"] == "repro/v2"
         loaded = instance_from_dict(payload)
-        assert loaded.times == inst.times
+        assert loaded.grid() == inst.grid()
 
     def test_schedule_roundtrip_through_v2(self):
         inst = _block_instance()

@@ -91,10 +91,9 @@ PINNED = {
     "async-processes": "600ad325d3c5ef0deaf1a7ee5a960f8a83b5544a70780a11df0a0d04f4e3794f",
 }
 
-#: fields that differ run to run: timings, and process-wide kernel
-#: cache counters that depend on what else ran in the process
+#: fields that differ run to run: timings
 _VOLATILE = {"wall_time_s", "uptime_s", "qps", "p50_ms", "p95_ms", "p99_ms",
-             "mean_ms", "max_ms", "fastpath"}
+             "mean_ms", "max_ms"}
 
 
 def _normalise(value):

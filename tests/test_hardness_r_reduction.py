@@ -13,6 +13,8 @@ from repro.graphs.precoloring import (
 from repro.hardness.r_reduction import theorem24_reduction
 from repro.scheduling.brute_force import brute_force_makespan
 
+from tests.conftest import grid_rationals
+
 
 class TestConstruction:
     def test_times_matrix_shape(self):
@@ -27,20 +29,20 @@ class TestConstruction:
         for c, v in enumerate(prext.precolored):
             for i in range(3):
                 expected = 1 if i == c else 40
-                assert r.instance.times[i][v] == expected
+                assert grid_rationals(r.instance)[i][v] == expected
 
     def test_other_jobs_unit_on_fast_machines(self):
         prext = planted_yes_instance(6, seed=2)
         r = theorem24_reduction(prext, d=40)
         others = set(range(6)) - set(prext.precolored)
         for v in others:
-            assert all(r.instance.times[i][v] == 1 for i in range(3))
+            assert all(grid_rationals(r.instance)[i][v] == 1 for i in range(3))
 
     def test_slow_machines_all_d(self):
         prext = planted_yes_instance(5, seed=3)
         r = theorem24_reduction(prext, d=17, m=5)
         for i in (3, 4):
-            assert all(t == 17 for t in r.instance.times[i])
+            assert all(t == 17 for t in grid_rationals(r.instance)[i])
 
     def test_preconditions(self):
         prext = planted_yes_instance(5, seed=4)

@@ -23,7 +23,7 @@ def exhaustive_makespan(instance) -> Fraction | None:
         groups = {}
         ok = True
         for j, i in enumerate(assign):
-            if instance.processing_time(i, j) is None:
+            if not instance.allows(i, j):
                 ok = False
                 break
             groups.setdefault(i, []).append(j)

@@ -1,9 +1,10 @@
 """Tests for instance containers (Q / P / R environments)."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidInstanceError
@@ -17,6 +18,8 @@ from repro.scheduling.instance import (
     unit_uniform_instance,
 )
 
+from tests.conftest import grid_rationals
+
 
 class TestUniformInstance:
     def test_basic_properties(self):
@@ -26,11 +29,12 @@ class TestUniformInstance:
         assert inst.total_p == 9 and inst.pmax == 4
         assert not inst.is_identical and not inst.has_unit_jobs
 
-    def test_processing_time(self):
+    def test_grid(self):
         g = path_graph(2)
         inst = UniformInstance(g, [6, 3], [3, 2])
-        assert inst.processing_time(0, 0) == Fraction(2)
-        assert inst.processing_time(1, 1) == Fraction(3, 2)
+        scale, ticks = inst.grid()
+        assert Fraction(ticks[0][0], scale) == Fraction(2)
+        assert Fraction(ticks[1][1], scale) == Fraction(3, 2)
 
     def test_machine_completion(self):
         g = BipartiteGraph(3, [])
@@ -84,13 +88,14 @@ class TestUniformInstance:
     @pytest.mark.parametrize(
         "eligible", [None, [[0], None, [1, 2], [2]]], ids=["unmasked", "masked"]
     )
-    def test_allows_agrees_with_processing_time(self, eligible):
+    def test_allows_agrees_with_grid(self, eligible):
         inst = UniformInstance(
             BipartiteGraph(4, []), [1, 2, 3, 4], [3, 2, 1], eligible=eligible
         )
+        _, ticks = inst.grid()
         for i in range(inst.m):
             for j in range(inst.n):
-                assert inst.allows(i, j) == (inst.processing_time(i, j) is not None)
+                assert inst.allows(i, j) == (ticks[i][j] is not None)
 
 
 class TestToUnrelated:
@@ -99,15 +104,15 @@ class TestToUnrelated:
         inst = UniformInstance(g, [6, 4], [3, 2])
         r = inst.to_unrelated()
         assert r.m == 2
-        assert r.times[0][0] == Fraction(2)
-        assert r.times[1][1] == Fraction(2)
+        assert grid_rationals(r)[0][0] == Fraction(2)
+        assert grid_rationals(r)[1][1] == Fraction(2)
 
     def test_machine_subset(self):
         g = path_graph(2)
         inst = UniformInstance(g, [6, 4], [6, 3, 1])
         r = inst.to_unrelated([0, 1])
         assert r.m == 2
-        assert r.times[1][0] == Fraction(2)
+        assert grid_rationals(r)[1][0] == Fraction(2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,18 +140,73 @@ def test_property_to_unrelated_is_p_over_s(p, speeds, data):
             inst.to_unrelated(machines)
         return
     r = inst.to_unrelated(machines)
-    assert r.times == times
+    assert grid_rationals(r) == times
     reference = UnrelatedInstance(inst.graph, times)
     assert (r.scale, r.ticks) == (reference.scale, reference.ticks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    speeds=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_property_uniform_grid_is_p_over_s(p, speeds, data):
+    """``grid()`` of a ``Q`` instance, masked or not, is ``Fraction(p_j) /
+    s_i`` with ``None`` exactly where a mask excludes the machine, and
+    ``to_unrelated(machines)`` is ``from_ticks`` of the grid's chosen rows."""
+    s = sorted((Fraction(a, b) for a, b in speeds), reverse=True)
+    n, m = len(p), len(s)
+    eligible = data.draw(st.none() | st.lists(
+        st.none() | st.lists(st.integers(0, m - 1), min_size=1), min_size=n, max_size=n))
+    inst = UniformInstance(path_graph(n), p, s, eligible)
+    scale, ticks = inst.grid()
+    for i in range(m):
+        for j in range(n):
+            if eligible is not None and eligible[j] is not None and i not in eligible[j]:
+                assert ticks[i][j] is None
+            else:
+                assert Fraction(ticks[i][j], scale) == Fraction(p[j]) / s[i]
+    machines = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    rows = [ticks[i] for i in machines]
+    assume(all(any(row[j] is not None for row in rows) for j in range(n)))
+    r = inst.to_unrelated(machines)
+    chosen = UnrelatedInstance.from_ticks(inst.graph, scale, rows)
+    assert (r.scale, r.ticks) == (chosen.scale, chosen.ticks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    times=st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(
+            st.none() | st.fractions(min_value=0, max_value=20, max_denominator=12),
+            min_size=n, max_size=n,
+        ),
+        min_size=1, max_size=3,
+    )),
+    factor=st.integers(1, 6),
+)
+def test_property_unrelated_grid_is_the_input(times, factor):
+    """``grid()`` of an ``R`` instance gives back the input rationals, with
+    ``None`` at the forbidden pairs, whether it was built by the
+    constructor or by ``from_ticks`` on an unreduced grid."""
+    n = len(times[0])
+    assume(all(any(row[j] is not None for row in times) for j in range(n)))
+    graph = BipartiteGraph(n, [])
+    big = factor * math.lcm(*(t.denominator for row in times for t in row if t is not None))
+    ticks = [[None if t is None else int(t * big) for t in row] for row in times]
+    expected = tuple(tuple(row) for row in times)
+    for inst in (UnrelatedInstance(graph, times), UnrelatedInstance.from_ticks(graph, big, ticks)):
+        assert grid_rationals(inst) == expected
 
 
 class TestFromTicks:
     def test_reduces_to_the_minimal_scale(self):
         r = UnrelatedInstance.from_ticks(path_graph(3), 12, [[6, 0, None], [3, 9, 18]])
         assert (r.scale, r.ticks) == (4, ((2, 0, None), (1, 3, 6)))
-        assert r.times == UnrelatedInstance(
+        assert r.grid() == UnrelatedInstance(
             path_graph(3), [["1/2", 0, None], ["1/4", "3/4", "3/2"]]
-        ).times
+        ).grid()
 
     @pytest.mark.parametrize(
         "ticks, message",
@@ -167,8 +227,9 @@ class TestUnrelatedInstance:
         g = matching_graph(1)
         inst = UnrelatedInstance(g, [[1, 2], [3, 4]])
         assert inst.m == 2
-        assert inst.processing_time(1, 0) == Fraction(3)
+        assert grid_rationals(inst)[1][0] == Fraction(3)
         assert inst.allows(0, 0)
+        assert not hasattr(inst, "times")  # the grid is the only matrix
 
     def test_forbidden_pairs(self):
         g = BipartiteGraph(2, [])

@@ -92,7 +92,7 @@ class TestLstTwoApprox:
         )
         result = lst_two_approx(inst)
         for j, i in enumerate(result.schedule.assignment):
-            assert inst.times[i][j] is not None
+            assert inst.allows(i, j)
 
     def test_graph_blindness_is_reported(self):
         # two incompatible jobs that LP wants on the same machine

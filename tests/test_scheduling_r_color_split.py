@@ -17,6 +17,8 @@ from repro.scheduling.baselines import r_color_split
 from repro.scheduling.brute_force import brute_force_makespan
 from repro.scheduling.instance import UnrelatedInstance
 
+from tests.conftest import grid_rationals
+
 F = Fraction
 
 
@@ -87,10 +89,11 @@ def _fraction_reference(instance):
     """``r_color_split``'s choice recomputed on the Fraction times:
     ``(makespan, machine of class 1, machine of class 2)`` or ``None``."""
     class1, class2 = inequitable_two_coloring(instance.graph)
+    times = grid_rationals(instance)
     loads = [
         [
-            None if any(instance.times[i][j] is None for j in cls)
-            else sum((instance.times[i][j] for j in cls), F(0))
+            None if any(times[i][j] is None for j in cls)
+            else sum((times[i][j] for j in cls), F(0))
             for cls in (class1, class2)
         ]
         for i in range(instance.m)

@@ -23,6 +23,8 @@ from repro.workloads import (
     uniform_pij,
 )
 
+from tests.conftest import grid_rationals
+
 GRAPH = generators.crown(4)  # 8 vertices, 12 edges
 
 
@@ -32,7 +34,7 @@ class TestUnrelatedModels:
         inst = build_unrelated_instance(GRAPH, model, 3, seed=7)
         assert isinstance(inst, UnrelatedInstance)
         assert inst.m == 3 and inst.n == GRAPH.n
-        assert all(t is not None and t > 0 for row in inst.times for t in row)
+        assert all(t is not None and t > 0 for row in inst.grid()[1] for t in row)
 
     @pytest.mark.parametrize("model", sorted(UNRELATED_MODELS))
     def test_deterministic_under_seed(self, model):
@@ -40,12 +42,12 @@ class TestUnrelatedModels:
         a = build_unrelated_instance(GRAPH, model, m, seed=11)
         b = build_unrelated_instance(GRAPH, model, m, seed=11)
         c = build_unrelated_instance(GRAPH, model, m, seed=12)
-        assert a.times == b.times
-        assert a.times != c.times  # the families are genuinely random
+        assert a.grid() == b.grid()
+        assert a.grid() != c.grid()  # the families are genuinely random
 
     def test_uniform_pij_respects_range(self):
         inst = uniform_pij(GRAPH, 2, lo=5, hi=9, seed=0)
-        assert all(5 <= t <= 9 for row in inst.times for t in row)
+        assert all(5 <= t <= 9 for row in grid_rationals(inst) for t in row)
         with pytest.raises(InvalidInstanceError):
             uniform_pij(GRAPH, 2, lo=9, hi=5)
 
@@ -53,7 +55,7 @@ class TestUnrelatedModels:
         p = [3] * GRAPH.n
         inst = correlated(GRAPH, 3, p=p, machine_lo=2, machine_hi=4, noise=0, seed=1)
         # noise = 0: each row is a constant multiple a_i * p_j of the base
-        for row in inst.times:
+        for row in grid_rationals(inst):
             assert len({t for t in row}) == 1
             assert row[0] % 3 == 0 and 6 <= row[0] <= 12
         with pytest.raises(InvalidInstanceError):
@@ -64,7 +66,7 @@ class TestUnrelatedModels:
         inst = restricted_assignment(GRAPH, 3, p=p, allow_probability=0.3, seed=5)
         sentinel = 3 * sum(p) + 1
         for j in range(GRAPH.n):
-            column = [inst.times[i][j] for i in range(3)]
+            column = [grid_rationals(inst)[i][j] for i in range(3)]
             assert all(t in (Fraction(p[j]), Fraction(sentinel)) for t in column)
             # every job is eligible (non-sentinel) somewhere
             assert any(t == Fraction(p[j]) for t in column)
@@ -75,7 +77,7 @@ class TestUnrelatedModels:
 
     def test_two_value_support(self):
         inst = two_value(GRAPH, 2, low=2, high=7, high_probability=0.5, seed=3)
-        values = {t for row in inst.times for t in row}
+        values = {t for row in grid_rationals(inst) for t in row}
         assert values <= {Fraction(2), Fraction(7)}
         with pytest.raises(InvalidInstanceError):
             two_value(GRAPH, 2, low=5, high=5)
@@ -92,15 +94,15 @@ class TestAdversarialModels:
         inst = hardness_r(GRAPH, d=50, m=4, seed=2)
         assert isinstance(inst, UnrelatedInstance)
         assert inst.m == 4 and inst.n == GRAPH.n
-        values = {t for row in inst.times for t in row}
+        values = {t for row in grid_rationals(inst) for t in row}
         assert values == {Fraction(1), Fraction(50)}
-        assert all(t == Fraction(50) for t in inst.times[3])  # machines 4.. pay d
+        assert all(t == Fraction(50) for t in grid_rationals(inst)[3])  # machines 4.. pay d
         # the instance is genuinely schedulable by the registered fallback
         assert solve(inst, algorithm="r_color_split").is_feasible()
 
     def test_hardness_r_default_gap_scales_with_n(self):
         inst = hardness_r(GRAPH, seed=2)
-        assert Fraction(GRAPH.n * GRAPH.n) in {t for row in inst.times for t in row}
+        assert Fraction(GRAPH.n * GRAPH.n) in {t for row in grid_rationals(inst) for t in row}
 
     def test_hardness_q_geometry(self):
         inst = hardness_q(GRAPH, k=2, m=3, seed=4)
@@ -289,8 +291,8 @@ class TestSuiteIntegration:
         assert len(names) == len(set(names))
         assert all("/" in name for name in names)
         again = unrelated_workload_suite(n=6, m=2, seeds=2, seed=0)
-        assert [inst.times for _, inst in suite] == [
-            inst.times for _, inst in again
+        assert [inst.grid() for _, inst in suite] == [
+            inst.grid() for _, inst in again
         ]
 
     def test_summarize_models_groups_by_prefix(self):
