@@ -12,9 +12,12 @@ argues but never measures:
 
 Each knob can be switched off independently; experiment E11
 (``benchmarks/bench_ablation_sqrt.py``) sweeps the variants over the
-standard instance suite.  With all knobs at their paper settings the
-variant reproduces :func:`repro.core.sqrt_approx.sqrt_approx_schedule`
-exactly (asserted by tests).
+standard instance suite.  Every variant that builds ``S2`` runs
+Algorithm 1's own steps 5-10 (``repro.core.sqrt_approx._capacity_schedule``)
+on its independent set and its colouring of ``J \\ I``.  With all knobs
+at their paper settings the variant reproduces
+:func:`repro.core.sqrt_approx.sqrt_approx_schedule` exactly (asserted by
+tests).
 
 The ablated algorithms keep Algorithm 1's *feasibility* (every variant
 returns a proper schedule); only the quality guarantee degrades.
@@ -27,6 +30,7 @@ from typing import Literal, Sequence
 
 from repro.core.sqrt_approx import (
     _brute_force_fastest,
+    _capacity_schedule,
     _refuse_eligibility,
     _two_fastest_schedule,
 )
@@ -34,11 +38,8 @@ from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.coloring import inequitable_two_coloring, proper_two_coloring
 from repro.graphs.independent_set import max_weight_independent_set_containing
-from repro.scheduling.bounds import uniform_capacity_lower_bound
 from repro.scheduling.instance import UniformInstance
-from repro.scheduling.list_scheduling import schedule_job_classes
 from repro.scheduling.schedule import Schedule
-from repro.utils.rationals import floor_fraction
 
 __all__ = [
     "ABLATION_VARIANTS",
@@ -156,63 +157,14 @@ def sqrt_approx_ablation(
 
     s2: Schedule | None = None
     if knobs.build_s2 and independent is not None and m >= 3:
-        s2 = _build_s2(instance, set(independent), knobs)
+        s2, _ = _capacity_schedule(
+            instance,
+            independent,
+            lambda rest: _two_coloring_classes(instance, rest, knobs.weighted_coloring),
+        )
 
     if knobs.prefer == "s1" or s2 is None:
         return s1
     if knobs.prefer == "s2":
         return s2
     return s2 if s2.makespan < s1.makespan else s1
-
-
-def _build_s2(
-    instance: UniformInstance, independent: set[int], knobs: AblationKnobs
-) -> Schedule:
-    """Steps 5-10 of Algorithm 1 with the coloring knob applied."""
-    n, m = instance.n, instance.m
-    rest = [j for j in range(n) if j not in independent]
-    if not rest:
-        # edgeless instance: nothing to separate, use every machine
-        # (same special case as repro.core.sqrt_approx)
-        return schedule_job_classes(
-            instance, [(sorted(independent), list(range(m)))]
-        )
-    rest_weight = sum(instance.p[j] for j in rest)
-    cap_bound = uniform_capacity_lower_bound(instance, rest_weight)
-    caps = [floor_fraction(s * cap_bound) for s in instance.speeds]
-
-    prefix = 0
-    k = m
-    for i in range(1, m):
-        prefix += caps[i]
-        if prefix >= rest_weight and (i + 1) >= 3:
-            k = i + 1
-            break
-
-    class1, class2 = _two_coloring_classes(instance, rest, knobs.weighted_coloring)
-    w_class1 = sum(instance.p[j] for j in class1)
-
-    k_prime = 2
-    prefix = 0
-    for i in range(1, k):
-        prefix += caps[i]
-        if prefix <= w_class1:
-            k_prime = i + 1
-        else:
-            break
-    if class2 and k_prime >= k:
-        # an arbitrary coloring can make J'_1 heavy enough to swallow all
-        # of M_2..M_k; keep one machine for J'_2 (k >= 3 so k - 1 >= 2)
-        k_prime = k - 1
-
-    group_class1 = list(range(1, k_prime))
-    group_class2 = list(range(k_prime, k))
-    group_ind = [0] + list(range(k, m))
-    return schedule_job_classes(
-        instance,
-        [
-            (class1, group_class1),
-            (class2, group_class2),
-            (sorted(independent), group_ind),
-        ],
-    )

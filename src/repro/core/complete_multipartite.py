@@ -308,30 +308,31 @@ def complete_multipartite_min_time(
     )
 
 
-def schedule_complete_bipartite_unit(instance: UniformInstance) -> Schedule:
-    """Exact schedule for ``Q|G = complete bipartite (+isolated), p_j=1|Cmax``.
+def _check_unary(instance: UniformInstance) -> None:
+    """Refuse what the unary algorithm cannot schedule.
 
-    Recognises the instance graph as a complete bipartite core plus
-    isolated vertices and solves it exactly with
-    :func:`complete_multipartite_min_time`.  Raises
-    :exc:`InvalidInstanceError` when the jobs are not unit or the graph is
-    not of this shape (use Algorithm 1 for general bipartite graphs).
+    Jobs must be unit, and masks are refused: the capacity argument
+    assumes every machine may take every job.
     """
     if not instance.has_unit_jobs:
         raise InvalidInstanceError(
             "the exact multipartite algorithm needs unit jobs (p_j = 1)"
         )
-    decomposition = complete_bipartite_parts_with_free(instance.graph)
-    if decomposition is None:
+    if instance.has_eligibility:
         raise InvalidInstanceError(
-            "graph is not complete bipartite plus isolated vertices"
+            "the exact multipartite algorithm does not support "
+            "machine-eligibility masks"
         )
-    left, right, free = decomposition
+
+
+def _schedule_parts(
+    instance: UniformInstance, parts: Sequence[Sequence[int]], free: Sequence[int]
+) -> Schedule:
+    """Solve the count plan for ``parts`` plus ``free`` and map it to job ids."""
     solution = complete_multipartite_min_time(
-        [len(left), len(right)], instance.speeds, free_jobs=len(free)
+        [len(part) for part in parts], instance.speeds, free_jobs=len(free)
     )
-    # map the count plan back to concrete job ids
-    pools = [list(left), list(right)]
+    pools = [list(part) for part in parts]
     assignment = [-1] * instance.n
     for i in range(instance.m):
         part = solution.machine_part[i]
@@ -342,9 +343,29 @@ def schedule_complete_bipartite_unit(instance: UniformInstance) -> Schedule:
     for i in range(instance.m):
         for _ in range(solution.free_counts[i]):
             assignment[free_pool.pop()] = i
-    # repro: allow[RS004] reason=counts invariant: part_counts/free_counts sum to the pool sizes by construction
-    assert not pools[0] and not pools[1] and not free_pool
+    # repro: allow[RS004] reason=counts invariant: the solution's counts sum to the pool sizes by construction
+    assert not any(pools) and not free_pool
     return Schedule(instance, assignment)
+
+
+def schedule_complete_bipartite_unit(instance: UniformInstance) -> Schedule:
+    """Exact schedule for ``Q|G = complete bipartite (+isolated), p_j=1|Cmax``.
+
+    Recognises the instance graph as a complete bipartite core plus
+    isolated vertices and solves it exactly with
+    :func:`complete_multipartite_min_time`.  Raises
+    :exc:`InvalidInstanceError` when the jobs are not unit, the instance
+    carries machine-eligibility masks, or the graph is not of this shape
+    (use Algorithm 1 for general bipartite graphs).
+    """
+    _check_unary(instance)
+    decomposition = complete_bipartite_parts_with_free(instance.graph)
+    if decomposition is None:
+        raise InvalidInstanceError(
+            "graph is not complete bipartite plus isolated vertices"
+        )
+    left, right, free = decomposition
+    return _schedule_parts(instance, [left, right], free)
 
 
 def schedule_complete_multipartite_unit(instance: UniformInstance) -> Schedule:
@@ -362,35 +383,11 @@ def schedule_complete_multipartite_unit(instance: UniformInstance) -> Schedule:
     masks (the unary algorithm's capacity argument assumes every machine
     may take every job).
     """
-    if not instance.has_unit_jobs:
-        raise InvalidInstanceError(
-            "the exact multipartite algorithm needs unit jobs (p_j = 1)"
-        )
-    if instance.has_eligibility:
-        raise InvalidInstanceError(
-            "the exact multipartite algorithm does not support "
-            "machine-eligibility masks"
-        )
+    _check_unary(instance)
     decomposition = multipartite_decomposition(instance.graph)
     if decomposition is None:
         raise InvalidInstanceError(
             "graph is not complete multipartite plus isolated vertices"
         )
     classes, free = decomposition
-    solution = complete_multipartite_min_time(
-        [len(c) for c in classes], instance.speeds, free_jobs=len(free)
-    )
-    pools = [list(c) for c in classes]
-    assignment = [-1] * instance.n
-    for i in range(instance.m):
-        part = solution.machine_part[i]
-        if part is not None:
-            for _ in range(solution.part_counts[i]):
-                assignment[pools[part].pop()] = i
-    free_pool = list(free)
-    for i in range(instance.m):
-        for _ in range(solution.free_counts[i]):
-            assignment[free_pool.pop()] = i
-    # repro: allow[RS004] reason=counts invariant: the solution's counts sum to the pool sizes by construction
-    assert not any(pools) and not free_pool
-    return Schedule(instance, assignment)
+    return _schedule_parts(instance, classes, free)

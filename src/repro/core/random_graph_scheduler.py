@@ -31,6 +31,30 @@ from repro.utils.rationals import floor_fraction
 __all__ = ["random_graph_schedule", "random_graph_schedule_balanced"]
 
 
+def _machine_groups(
+    instance: UniformInstance, v2_size: int
+) -> tuple[list[int], list[int]]:
+    """Steps 2-3: the machine groups ``(M_1 + M_{k+1}..M_m, M_2..M_k)``.
+
+    ``v2_size`` is ``|V'_2|``; ``k`` is the least index whose prefix
+    ``M_2..M_k`` reaches capacity ``|V'_2| / 2`` at ``C**max``.
+    """
+    m = instance.m
+    # step 2: least time whose rounded-down capacities cover all n jobs
+    cstar2 = min_cover_time(instance.speeds, instance.n)
+    caps = [floor_fraction(s * cstar2) for s in instance.speeds]
+
+    # step 3: least k <= m with capacity(M_2..M_k) >= |V'_2| / 2
+    k = m
+    prefix = 0
+    for i in range(1, m):  # 0-based machine i == 1-based machine i+1
+        prefix += caps[i]
+        if 2 * prefix >= v2_size:
+            k = i + 1
+            break
+    return [0] + list(range(k, m)), list(range(1, k))
+
+
 def random_graph_schedule(instance: UniformInstance) -> Schedule:
     """Run Algorithm 2 on a unit-job uniform instance.
 
@@ -51,22 +75,7 @@ def random_graph_schedule(instance: UniformInstance) -> Schedule:
         return Schedule(instance, [0] * n)
 
     class1, class2 = inequitable_two_coloring(instance.graph)
-
-    # step 2: least time whose rounded-down capacities cover all n jobs
-    cstar2 = min_cover_time(instance.speeds, n)
-    caps = [floor_fraction(s * cstar2) for s in instance.speeds]
-
-    # step 3: least k <= m with capacity(M_2..M_k) >= |V'_2| / 2
-    k = m
-    prefix = 0
-    for i in range(1, m):  # 0-based machine i == 1-based machine i+1
-        prefix += caps[i]
-        if 2 * prefix >= len(class2):
-            k = i + 1
-            break
-
-    group_v2 = list(range(1, k))          # M_2 .. M_k
-    group_v1 = [0] + list(range(k, m))    # M_1, M_{k+1} .. M_m
+    group_v1, group_v2 = _machine_groups(instance, len(class2))
     return schedule_job_classes(instance, [(class1, group_v1), (class2, group_v2)])
 
 
@@ -106,18 +115,7 @@ def random_graph_schedule_balanced(instance: UniformInstance) -> Schedule:
     isolated = [v for v in range(n) if graph.degree(v) == 0]
     active = [v for v in range(n) if graph.degree(v) > 0]
     class1, class2 = inequitable_two_coloring(graph, vertices=active)
-
-    cstar2 = min_cover_time(instance.speeds, n)
-    caps = [floor_fraction(s * cstar2) for s in instance.speeds]
-    k = m
-    prefix = 0
-    for i in range(1, m):
-        prefix += caps[i]
-        if 2 * prefix >= len(class2):
-            k = i + 1
-            break
-    group_v2 = list(range(1, k))
-    group_v1 = [0] + list(range(k, m))
+    group_v1, group_v2 = _machine_groups(instance, len(class2))
 
     assignment = [-1] * n
     loads = [0] * m  # unit jobs: integer loads

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Callable, Literal
 
 from repro.core.r2_fptas import r2_fptas
 from repro.core.r2_two_approx import r2_two_approx
@@ -131,6 +131,79 @@ def _two_fastest_schedule(
     return Schedule(instance, two_machine.assignment)
 
 
+def _capacity_schedule(
+    instance: UniformInstance,
+    independent: set[int],
+    color: Callable[[list[int]], tuple[list[int], list[int]]],
+) -> tuple[Schedule, Fraction]:
+    """Steps 5-10 of Algorithm 1: ``(S2, C**max)`` for ``m >= 3``.
+
+    ``color(rest)`` splits ``J \\ I`` into the class ``J'_1`` placed on
+    ``M_2..M_{k'}`` and the class ``J'_2`` placed on ``M_{k'+1}..M_k``:
+    step 8's inequitable colouring in Algorithm 1, another proper
+    colouring in its ablations.
+    """
+    m = instance.m
+    rest = [j for j in range(instance.n) if j not in independent]
+    if not rest:
+        # J \ I is empty, i.e. the graph has no edges at all.  The
+        # paper's step 7 would still reserve M_2..M_k for the empty
+        # rest set and leave them idle (which can breach the Theorem 9
+        # bound at small sum p_j); with nothing to separate, step 10's
+        # "schedule I on M_1, M_{k+1}..M_m" degenerates to list
+        # scheduling on every machine.
+        cap_bound = uniform_capacity_lower_bound(instance)
+        s2 = schedule_job_classes(instance, [(sorted(independent), list(range(m)))])
+        return s2, cap_bound
+    rest_weight = sum(instance.p[j] for j in rest)
+    # step 5: C**max — smallest time whose rounded-down capacities
+    # satisfy all three covering conditions
+    cap_bound = uniform_capacity_lower_bound(instance, rest_weight)
+    caps = [floor_fraction(s * cap_bound) for s in instance.speeds]
+
+    # step 7 (1-based k >= 3): M_2..M_k cover J \ I
+    prefix = 0
+    k = m  # fallback; condition (b) of C** guarantees coverage by M_2..M_m
+    for i in range(1, m):  # 0-based machine i is 1-based machine i+1
+        prefix += caps[i]
+        if prefix >= rest_weight and (i + 1) >= 3:
+            k = i + 1
+            break
+
+    # step 8: the caller's colouring of J \ I
+    class1, class2 = color(rest)
+    w_class1 = sum(instance.p[j] for j in class1)
+
+    # step 9 (1-based k' in [2, k]): largest prefix of M_2.. within w(J'_1)
+    k_prime = 2
+    prefix = 0
+    for i in range(1, k):  # 1-based machines 2..k
+        prefix += caps[i]
+        if prefix <= w_class1:
+            k_prime = i + 1
+        else:
+            break
+
+    # step 10: three machine groups (convert to 0-based ids)
+    group_class1 = list(range(1, k_prime))          # M_2 .. M_{k'}
+    group_class2 = list(range(k_prime, k))          # M_{k'+1} .. M_k
+    group_ind = [0] + list(range(k, m))             # M_1, M_{k+1} .. M_m
+    # when J'_2 is non-empty, capacities of M_2..M_k strictly exceed
+    # w(J'_1) (they cover all of J \ I and every p_j >= 1), so k' < k
+    # and the group exists, whichever colouring the caller passed
+    # repro: allow[RS004] reason=Theorem 11 invariant: capacities of M_2..M_k exceed w(J'_1), so k' < k whenever J'_2 is non-empty
+    assert not class2 or group_class2, "k' = k with a non-empty J'_2"
+    s2 = schedule_job_classes(
+        instance,
+        [
+            (class1, group_class1),
+            (class2, group_class2),
+            (sorted(independent), group_ind),
+        ],
+    )
+    return s2, cap_bound
+
+
 def sqrt_approx_schedule(
     instance: UniformInstance,
     s1_solver: Literal["fptas", "two_approx"] = "fptas",
@@ -173,63 +246,14 @@ def sqrt_approx_schedule(
 
     s2: Schedule | None = None
     cap_bound: Fraction | None = None
-    if independent is not None and m >= 3 and len(independent) == n:
-        # J \ I is empty, i.e. the graph has no edges at all.  The
-        # paper's step 7 would still reserve M_2..M_k for the empty
-        # rest set and leave them idle (which can breach the Theorem 9
-        # bound at small sum p_j); with nothing to separate, step 10's
-        # "schedule I on M_1, M_{k+1}..M_m" degenerates to list
-        # scheduling on every machine.
-        cap_bound = uniform_capacity_lower_bound(instance)
-        s2 = schedule_job_classes(
-            instance, [(sorted(independent), list(range(m)))]
-        )
-    elif independent is not None and m >= 3:
-        rest = [j for j in range(n) if j not in independent]
-        rest_weight = sum(instance.p[j] for j in rest)
-        # step 5: C**max — smallest time whose rounded-down capacities
-        # satisfy all three covering conditions
-        cap_bound = uniform_capacity_lower_bound(instance, rest_weight)
-        caps = [floor_fraction(s * cap_bound) for s in instance.speeds]
-
-        # step 7 (1-based k >= 3): M_2..M_k cover J \ I
-        prefix = 0
-        k = m  # fallback; condition (b) of C** guarantees coverage by M_2..M_m
-        for i in range(1, m):  # 0-based machine i is 1-based machine i+1
-            prefix += caps[i]
-            if prefix >= rest_weight and (i + 1) >= 3:
-                k = i + 1
-                break
-
-        # step 8: inequitable weighted coloring of J \ I
-        class1, class2 = inequitable_two_coloring(instance.graph, instance.p, rest)
-        w_class1 = sum(instance.p[j] for j in class1)
-
-        # step 9 (1-based k' in [2, k]): largest prefix of M_2.. within w(J'_1)
-        k_prime = 2
-        prefix = 0
-        for i in range(1, k):  # 1-based machines 2..k
-            prefix += caps[i]
-            if prefix <= w_class1:
-                k_prime = i + 1
-            else:
-                break
-
-        # step 10: three machine groups (convert to 0-based ids)
-        group_class1 = list(range(1, k_prime))          # M_2 .. M_{k'}
-        group_class2 = list(range(k_prime, k))          # M_{k'+1} .. M_k
-        group_ind = [0] + list(range(k, m))             # M_1, M_{k+1} .. M_m
-        # when J'_2 is non-empty, capacities of M_2..M_k strictly exceed
-        # w(J'_1) (they cover all of J \ I), so k' < k and the group exists
-        # repro: allow[RS004] reason=Theorem 11 invariant: capacities of M_2..M_k exceed w(J'_1), so k' < k whenever J'_2 is non-empty
-        assert not class2 or group_class2, "k' = k with a non-empty J'_2"
-        s2 = schedule_job_classes(
+    if independent is not None and m >= 3:
+        # step 8 colours J \ I inequitably; the lambda looks the colouring
+        # up in this module when it runs, so a rebound name (e2ebench's
+        # tracer rebinds it) is the one called
+        s2, cap_bound = _capacity_schedule(
             instance,
-            [
-                (class1, group_class1),
-                (class2, group_class2),
-                (sorted(independent), group_ind),
-            ],
+            independent,
+            lambda rest: inequitable_two_coloring(instance.graph, instance.p, rest),
         )
 
     independent_set = frozenset(independent) if independent is not None else None

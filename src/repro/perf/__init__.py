@@ -4,7 +4,7 @@ The perf subsystem closes the loop the ROADMAP's "fast as the hardware
 allows" goal needs:
 
 * :mod:`repro.perf.timer` — the deterministic warmup/repeat/median
-  measurement policy (:func:`measure`, :class:`Stopwatch`), with
+  measurement policy (:func:`measure`), with
   injectable clocks so the statistics are unit-testable;
 * :mod:`repro.perf.profile` — cProfile top-N hotspot extraction as
   structured data (:func:`profile_top`);
@@ -31,7 +31,7 @@ from repro.perf.record import (
     validate_bench_record,
     write_bench_record,
 )
-from repro.perf.timer import Stopwatch, TimingResult, measure
+from repro.perf.timer import TimingResult, measure
 
 __all__ = [
     "BENCH_FORMAT",
@@ -39,7 +39,6 @@ __all__ = [
     "BenchRecord",
     "ProfileLine",
     "ProfileReport",
-    "Stopwatch",
     "TimingResult",
     "git_revision",
     "json_cell",

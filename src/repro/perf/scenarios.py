@@ -68,20 +68,20 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
     """The numpy tier vs the integer reference of the same hot loop.
 
     Both sides call the same public function: the "before" side raises
-    the numpy cutoff in :mod:`repro.fastpath` to ``sys.maxsize`` around
-    the call, so only the integer reference runs, and the "after" side
-    uses the shipped cutoff.  Equivalence is asserted — the same
+    the numpy cutoff in :mod:`repro.scheduling.dp_unrelated` to
+    ``sys.maxsize`` around the call, so only the integer reference runs,
+    and the "after" side uses the shipped cutoff.  Equivalence is asserted — the same
     byte-identical contract the differential suite
     (``tests/differential/``) proves property-wise.
     """
     import random
     import sys
     from fractions import Fraction
+    from unittest import mock
 
-    from repro import fastpath
     from repro.core.r2_reduction import reduce_r2
     from repro.random_graphs.gilbert import gnnp
-    from repro.scheduling.dp_unrelated import solve_r2_dp
+    from repro.scheduling import dp_unrelated
     from repro.scheduling.instance import UnrelatedInstance
 
     # Algorithm 5's R2 DP at the shape the e2ebench sparse-fptas workload
@@ -96,15 +96,11 @@ def _scenario_fastpath(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome
     dp_rows = reduce_r2(r2).dp_rows()
 
     def dp() -> Any:
-        return solve_r2_dp(dp_rows, eps=Fraction(1, 10))
+        return dp_unrelated.solve_r2_dp(dp_rows, eps=Fraction(1, 10))
 
     def dp_integer_only() -> Any:
-        shipped = fastpath.R2_DP_NUMPY_MIN_STATES
-        fastpath.R2_DP_NUMPY_MIN_STATES = sys.maxsize
-        try:
+        with mock.patch.object(dp_unrelated, "R2_DP_NUMPY_MIN_STATES", sys.maxsize):
             return dp()
-        finally:
-            fastpath.R2_DP_NUMPY_MIN_STATES = shipped
 
     case = f"r2 dp R m=2 n={r2.n} deg=0.8 eps=1/10 ({len(dp_rows[0])} DP jobs)"
     before = measure(dp_integer_only, repeat=repeat, warmup=warmup)

@@ -21,14 +21,12 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
-
-from contextlib import contextmanager
+from typing import Any, Callable
 
 from repro.exceptions import InvalidInstanceError
 from repro.perf.record import BenchPhase
 
-__all__ = ["TimingResult", "Stopwatch", "measure"]
+__all__ = ["TimingResult", "measure"]
 
 
 @dataclass(frozen=True)
@@ -163,52 +161,3 @@ def measure(
         cpu_times_s=tuple(cpus),
         value=value,
     )
-
-
-class Stopwatch:
-    """Collect named phase timings with ``with``-blocks.
-
-    Used by benchmark drivers that time *stages* of one pipeline run
-    (build, solve, audit) rather than repeating a single callable:
-
-    >>> sw = Stopwatch(wall_clock=iter([0.0, 2.0]).__next__)
-    >>> with sw.phase("solve", size={"n": 4}):
-    ...     pass
-    >>> [(p.name, p.wall_time_s) for p in sw.phases]
-    [('solve', 2.0)]
-    """
-
-    def __init__(
-        self,
-        wall_clock: Callable[[], float] = time.perf_counter,
-        cpu_clock: Callable[[], float] | None = time.process_time,
-    ) -> None:
-        self._wall_clock = wall_clock
-        self._cpu_clock = cpu_clock
-        self.phases: list[BenchPhase] = []
-
-    @contextmanager
-    def phase(
-        self, name: str, size: dict[str, Any] | None = None
-    ) -> Iterator[None]:
-        """Time the enclosed block as one named phase."""
-        cpu0 = self._cpu_clock() if self._cpu_clock is not None else None
-        wall0 = self._wall_clock()
-        try:
-            yield
-        finally:
-            wall = self._wall_clock() - wall0
-            cpu = (
-                self._cpu_clock() - cpu0
-                if self._cpu_clock is not None and cpu0 is not None
-                else None
-            )
-            self.phases.append(
-                BenchPhase(
-                    name=name,
-                    wall_time_s=wall,
-                    cpu_time_s=cpu,
-                    repeat=1,
-                    size=size or {},
-                )
-            )

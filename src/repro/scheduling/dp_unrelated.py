@@ -24,10 +24,18 @@ All arithmetic is integer, on the inputs' exact
 
 The forward pass builds one layer per job.  Small layers go through the
 reference dict step (:func:`_layer_python`); once a layer holds
-``repro.fastpath.R2_DP_NUMPY_MIN_STATES`` states, the next one is built
-by :func:`repro.fastpath.kernels_numpy.r2_dp_layer_numpy`, which
-reproduces the dict's tie-breaks exactly, whenever its packed sort key
-fits ``int64``.
+:data:`R2_DP_NUMPY_MIN_STATES` states, the next one is built by the numpy
+step (:func:`_layer_numpy`), which reproduces the dict's tie-breaks
+exactly: a bucket keeps the first candidate with the strictly smallest
+``l2``, buckets are listed in the order of their first candidate (state
+by state, machine 1 before machine 2), and the final pick is the first
+state with minimal ``max(l1, l2)`` in that order.  The numpy step returns
+``None`` when its packed sort key could overflow ``int64`` (checked,
+never assumed: a wrapped key would corrupt an exact result), and that
+layer takes the dict step.  ``tests/differential/`` forces each step by
+patching the cutoff and requires byte-identical results.  The numpy step
+stays only while its row of ``BENCH_PERF_fastpath.json`` shows it paying
+at the shape of the ``sparse-fptas`` workload.
 """
 
 from __future__ import annotations
@@ -36,14 +44,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from repro import fastpath
+import numpy as np
+
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
-from repro.fastpath import FastpathUnavailable, kernels_numpy
 from repro.utils.rationals import as_fraction, floor_fraction, time_grid
 
 __all__ = ["solve_r2_dp", "DPResult"]
 
 TimeEntry = int | float | str | Fraction | None
+
+#: states in a layer below which the dict step builds the next layer
+#: faster than the numpy step (the two break even at 64-95 states on
+#: sparse-fptas layers); measured with ``repro perf --target fastpath``
+R2_DP_NUMPY_MIN_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -117,11 +130,8 @@ def solve_r2_dp(
     for j in range(n):
         a, b = t_int[0][j], t_int[1][j]
         step = None
-        if len(l1) >= fastpath.R2_DP_NUMPY_MIN_STATES:
-            try:
-                step = kernels_numpy.r2_dp_layer_numpy(l1, l2, a, b, delta, prune)
-            except FastpathUnavailable:
-                pass
+        if len(l1) >= R2_DP_NUMPY_MIN_STATES:
+            step = _layer_numpy(l1, l2, a, b, delta, prune)
         if step is None:
             step = _layer_python(_as_list(l1), _as_list(l2), a, b, delta, prune)
         l1, l2, emitted = step
@@ -151,7 +161,10 @@ def solve_r2_dp(
 
 def _as_list(loads: Any) -> list[int]:
     """A layer's loads as Python ints (the numpy step returns arrays)."""
-    return loads if isinstance(loads, list) else loads.tolist()
+    if isinstance(loads, list):
+        return loads
+    ints: list[int] = loads.tolist()
+    return ints
 
 
 def _layer_python(
@@ -207,3 +220,59 @@ def _layer_python(
                     new2[at] = nl2
                     emitted[at] = 2 * pos + 1
     return new1, new2, emitted
+
+
+def _layer_numpy(
+    l1: Any, l2: Any, a: int | None, b: int | None, delta: int, prune: int
+) -> tuple[Any, Any, Any] | None:
+    """The next layer, identical to :func:`_layer_python`, or ``None``.
+
+    ``l1``/``l2`` are the current layer's loads in layer order (lists or
+    int64 arrays).  State ``p`` emits candidate ``2p`` (machine 1) and
+    then ``2p + 1`` (machine 2), as in the dict step.  Each candidate
+    becomes one key with the bit fields ``bucket | l2 | emission``:
+    after one sort the first key of each bucket is its winner, and a
+    segment minimum of the emission field gives the bucket's first
+    candidate, which orders the buckets.
+
+    Returns int64 arrays ``(l1, l2, emitted)`` of the next layer in
+    layer order, or ``None`` when the packed key could overflow
+    ``int64``; the caller then runs the dict step.
+    """
+    slots = 2 * len(l1)
+    e_bits = (slots - 1).bit_length()
+    l2_bits = prune.bit_length()
+    low_bits = l2_bits + e_bits
+    if (prune // delta).bit_length() + low_bits > 63:
+        return None
+    l1 = np.asarray(l1, dtype=np.int64)
+    l2 = np.asarray(l2, dtype=np.int64)
+    # candidate 2p + machine sits at that index; a time above the prune
+    # bound is never taken, and prune + 1 both marks it and keeps every
+    # sum inside int64
+    over = prune + 1
+    cand_l1 = np.empty(slots, dtype=np.int64)
+    cand_l2 = np.empty(slots, dtype=np.int64)
+    cand_l1[0::2] = l1 + a if a is not None and a <= prune else over
+    cand_l1[1::2] = l1
+    cand_l2[0::2] = l2
+    cand_l2[1::2] = l2 + b if b is not None and b <= prune else over
+    emission = (np.maximum(cand_l1, cand_l2) <= prune).nonzero()[0]
+    if emission.size == 0:
+        return emission, emission, emission
+    keys = cand_l1[emission]
+    if delta > 1:
+        keys //= delta
+    keys <<= l2_bits
+    keys |= cand_l2[emission]
+    keys <<= e_bits
+    keys |= emission
+    keys.sort()
+    buckets = keys >> low_bits
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(buckets[1:], buckets[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    keys &= (1 << e_bits) - 1  # each sorted candidate's emission index
+    emitted = keys[starts][np.minimum.reduceat(keys, starts).argsort()]
+    return cand_l1[emitted], cand_l2[emitted], emitted

@@ -21,13 +21,14 @@ from typing import Iterator, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
+from repro.scheduling import dp_unrelated
 from repro.scheduling.instance import UniformInstance
 
-#: the numpy cutoffs in :mod:`repro.fastpath` that choose a tier per call
+#: the numpy cutoffs in :mod:`repro.scheduling.dp_unrelated` that choose
+#: a tier per call
 CUTOFFS = ("R2_DP_NUMPY_MIN_STATES",)
 
 #: cutoff value per tier: ``sys.maxsize`` keeps every loop on its
@@ -43,7 +44,7 @@ def kernel_tier(tier: str) -> Iterator[None]:
     with pytest.MonkeyPatch.context() as mp:
         if value is not None:
             for name in CUTOFFS:
-                mp.setattr(fastpath, name, value)
+                mp.setattr(dp_unrelated, name, value)
         yield
 
 

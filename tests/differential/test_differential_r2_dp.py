@@ -1,9 +1,9 @@
 """Differential proof: the numpy R2 DP step builds the dict step's layers.
 
 ``solve_r2_dp`` (Algorithm 5's two-machine engine) builds each DP layer
-with the reference dict step, or with ``r2_dp_layer_numpy`` once a layer
-holds ``R2_DP_NUMPY_MIN_STATES`` states and the packed sort key fits
-``int64``.  The dict's tie-breaks are the contract: the first strictly
+with the reference dict step, or with the numpy step ``_layer_numpy``
+once a layer holds ``R2_DP_NUMPY_MIN_STATES`` states and the packed sort
+key fits ``int64``.  The dict's tie-breaks are the contract: the first strictly
 smaller ``l2`` wins a bucket, buckets keep the order of their first
 candidate, and the final pick is the first minimal ``max(l1, l2)`` in
 that order.  The tests lower the cutoff to 1 so every layer takes the
@@ -23,9 +23,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diffutil import kernel_tier
-from repro import fastpath
 from repro.exceptions import InfeasibleInstanceError
-from repro.fastpath import FastpathUnavailable, kernels_numpy
 from repro.scheduling import dp_unrelated
 from repro.scheduling.dp_unrelated import DPResult, solve_r2_dp
 
@@ -107,7 +105,7 @@ def layers(draw: st.DrawFn) -> tuple:
 def test_one_step_matches_the_dict_step(args):
     """Step against step, including candidates exactly at the bound."""
     expected = dp_unrelated._layer_python(*args)
-    got = kernels_numpy.r2_dp_layer_numpy(*args)
+    got = dp_unrelated._layer_numpy(*args)
     assert [part.tolist() for part in got] == [list(part) for part in expected]
 
 
@@ -123,16 +121,16 @@ def test_large_layers_match_reference(seed, eps):
     ]
     rows[0][n - 2], rows[1][n - 1] = None, None  # Algorithm 5's pinned jobs
     calls = []
-    real_step = kernels_numpy.r2_dp_layer_numpy
+    real_step = dp_unrelated._layer_numpy
 
     def counting_step(*args):
         calls.append(len(args[0]))
         return real_step(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels_numpy, "r2_dp_layer_numpy", counting_step)
+        mp.setattr(dp_unrelated, "_layer_numpy", counting_step)
         fast = solve_r2_dp(rows, eps=eps)
-    assert calls and min(calls) >= fastpath.R2_DP_NUMPY_MIN_STATES
+    assert calls and min(calls) >= dp_unrelated.R2_DP_NUMPY_MIN_STATES
     _assert_identical(fast, _reference(rows, eps))
 
 
@@ -142,17 +140,16 @@ def test_layers_below_the_cutoff_never_enter_the_numpy_step():
 
     rows = [[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels_numpy, "r2_dp_layer_numpy", refuse)
+        mp.setattr(dp_unrelated, "_layer_numpy", refuse)
         result = solve_r2_dp(rows)
     assert result == _reference(rows, None)
 
 
 def test_key_overflow_falls_back_to_the_dict_step():
-    """A pinned job above 2**63 makes the key unpackable: the kernel
-    refuses, and the DP still returns the reference result."""
+    """A pinned job above 2**63 makes the key unpackable: the numpy step
+    returns ``None``, and the DP still returns the reference result."""
     rows = [[HUGE, 2, 3, 4], [None, 5, 6, 7]]
-    with pytest.raises(FastpathUnavailable):
-        kernels_numpy.r2_dp_layer_numpy([0], [0], HUGE, None, 1, HUGE + 18)
+    assert dp_unrelated._layer_numpy([0], [0], HUGE, None, 1, HUGE + 18) is None
     fast = _numpy_every_layer(rows, None)
     _assert_identical(fast, _reference(rows, None))
     assert fast.makespan == HUGE
@@ -160,7 +157,7 @@ def test_key_overflow_falls_back_to_the_dict_step():
 
 def test_both_steps_empty_a_layer_below_every_candidate():
     assert dp_unrelated._layer_python([5], [5], 3, 3, 1, 7) == ([], [], [])
-    l1, l2, emitted = kernels_numpy.r2_dp_layer_numpy([5], [5], 3, 3, 1, 7)
+    l1, l2, emitted = dp_unrelated._layer_numpy([5], [5], 3, 3, 1, 7)
     assert l1.size == l2.size == emitted.size == 0
 
 
@@ -179,7 +176,7 @@ def test_empty_layer_raises_the_same_error_in_both_steps(monkeypatch):
         dp_unrelated, "_layer_python", shrunk(dp_unrelated._layer_python)
     )
     monkeypatch.setattr(
-        kernels_numpy, "r2_dp_layer_numpy", shrunk(kernels_numpy.r2_dp_layer_numpy)
+        dp_unrelated, "_layer_numpy", shrunk(dp_unrelated._layer_numpy)
     )
     rows = [[5] * 8, [5] * 8]
     messages = {}

@@ -3,8 +3,8 @@ the kernels it names.
 
 Every differential test compares tiers; that comparison proves nothing
 if a tier silently runs the wrong code — say a cutoff copied into a
-module constant at import time, so patching ``repro.fastpath`` no
-longer moves it.  Each hot loop with a numpy tier is run on one input
+module constant at import time, so patching the one in
+``repro.scheduling.dp_unrelated`` no longer moves it.  Each hot loop with a numpy tier is run on one input
 below its shipped cutoff and one above, with its numpy kernel wrapped
 to count calls:
 
@@ -30,9 +30,8 @@ from fractions import Fraction
 import pytest
 
 from diffutil import TIERS, kernel_tier
-from repro.fastpath import kernels_numpy
 from repro.graphs.bipartite import BipartiteGraph
-from repro.scheduling import bounds, list_scheduling
+from repro.scheduling import bounds, dp_unrelated, list_scheduling
 from repro.scheduling.dp_unrelated import solve_r2_dp
 from repro.scheduling.instance import UniformInstance
 
@@ -95,11 +94,11 @@ LOOPS = {
     "greedy": (None, _greedy, 5, 1100),
     "cover": (None, _cover, 3, 300),
     "cover_with_loads": (None, _cover_with_loads, 3, 300),
-    "r2_dp": ("r2_dp_layer_numpy", _r2_dp, 3, 60),
+    "r2_dp": ("_layer_numpy", _r2_dp, 3, 60),
 }
 
 #: every numpy kernel a tier could reach
-NUMPY_KERNELS = tuple(k for k in kernels_numpy.__all__ if k.endswith("_numpy"))
+NUMPY_KERNELS = ("_layer_numpy",)
 
 #: (below, above) -> whether the tier's runs reach the numpy kernel
 REACHES_NUMPY = {
@@ -117,7 +116,7 @@ def test_tier_reaches_the_kernels_it_names(loop, tier):
     calls: list[str] = []
 
     def counting(name):
-        real = getattr(kernels_numpy, name)
+        real = getattr(dp_unrelated, name)
 
         def run(*args):
             calls.append(name)
@@ -133,7 +132,7 @@ def test_tier_reaches_the_kernels_it_names(loop, tier):
         calls.clear()
         with pytest.MonkeyPatch.context() as mp:
             for name in watched:
-                mp.setattr(kernels_numpy, name, counting(name))
+                mp.setattr(dp_unrelated, name, counting(name))
             with kernel_tier(tier):
                 got = run()
         assert got == expected, size

@@ -13,10 +13,15 @@ from repro.core.ablations import (
     greedy_independent_set_containing,
     sqrt_approx_ablation,
 )
-from repro.core.sqrt_approx import _two_fastest_schedule, sqrt_approx_schedule
+from repro.core.sqrt_approx import (
+    _capacity_schedule,
+    _two_fastest_schedule,
+    sqrt_approx_schedule,
+)
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.coloring import inequitable_two_coloring, proper_two_coloring
 from repro.graphs.independent_set import max_weight_independent_set_containing
 from repro.random_graphs.gilbert import gnnp
 from repro.scheduling.instance import UniformInstance
@@ -77,6 +82,7 @@ class TestVariants:
             inst = _instance(seed=seed)
             ablation = sqrt_approx_ablation(inst, "paper")
             reference = sqrt_approx_schedule(inst).schedule
+            assert ablation.assignment == reference.assignment
             assert ablation.makespan == reference.makespan
 
     def test_s1_only_matches_s1(self):
@@ -121,6 +127,50 @@ def test_property_every_variant_is_feasible(seed, n_side, m):
     for variant in ABLATION_VARIANTS:
         schedule = sqrt_approx_ablation(inst, variant)
         assert schedule.is_feasible()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2000),
+    n_side=st.integers(2, 9),
+    m=st.integers(3, 6),
+)
+def test_property_any_colouring_leaves_machines_for_the_second_class(
+    seed, n_side, m
+):
+    """Steps 5-10 need no ``k' = k - 1`` guard: whichever proper colouring
+    of ``J \\ I`` is passed, heavier class first or not, ``J'_2`` gets
+    machines of its own (``M_{k'+1}..M_k``), apart from ``J'_1``'s and
+    from ``M_1``, which holds ``I``."""
+    rng = np.random.default_rng(seed)
+    graph = gnnp(n_side, 2.0 / n_side, seed=rng)
+    p = [int(x) for x in rng.integers(1, 30, size=graph.n)]
+    speeds = sorted((F(int(x)) for x in rng.integers(1, 9, size=m)), reverse=True)
+    inst = UniformInstance(graph, p, speeds)
+    heavy = [j for j in range(inst.n) if p[j] * p[j] >= inst.total_p]
+    independent = max_weight_independent_set_containing(graph, p, heavy)
+    if independent is None:
+        return
+    rest = [j for j in range(inst.n) if j not in independent]
+    sub, ids = graph.induced_subgraph(rest)
+    colors = proper_two_coloring(sub)
+    proper = tuple(
+        [ids[v] for v in range(sub.n) if colors[v] == c] for c in (0, 1)
+    )
+    inequitable = inequitable_two_coloring(graph, p, rest)
+    for class1, class2 in (
+        proper,
+        proper[::-1],
+        inequitable,
+        inequitable[::-1],
+    ):
+        s2, _ = _capacity_schedule(inst, set(independent), lambda _: (class1, class2))
+        assert s2.is_feasible()
+        on1 = {s2.assignment[j] for j in class1}
+        on2 = {s2.assignment[j] for j in class2}
+        assert not on2 & on1
+        assert 0 not in on1 | on2
+        assert all(s2.assignment[j] not in on1 | on2 for j in independent)
 
 
 @settings(max_examples=20, deadline=None)

@@ -185,6 +185,18 @@ class TestScheduleAdapter:
         with pytest.raises(InvalidInstanceError):
             schedule_complete_bipartite_unit(inst)
 
+    def test_rejects_eligibility_masks(self):
+        # the unmasked optimum at speeds (3, 1) puts job 3 on machine 0,
+        # which its mask forbids: refused up front, like the k-part solver
+        inst = UniformInstance(
+            generators.complete_bipartite(2, 2),
+            [1, 1, 1, 1],
+            _mk_speeds([3, 1]),
+            eligible=[None, None, None, [1]],
+        )
+        with pytest.raises(InvalidInstanceError, match="eligibility masks"):
+            schedule_complete_bipartite_unit(inst)
+
     def test_edgeless_graph_schedules_everywhere(self):
         inst = unit_uniform_instance(generators.empty_graph(6), _mk_speeds([2, 1]))
         schedule = schedule_complete_bipartite_unit(inst)

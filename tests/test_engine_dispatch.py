@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.engine import (
     ALGORITHMS,
     auto_choice,
@@ -21,6 +20,7 @@ from repro.engine import (
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs import generators
 from repro.random_graphs.gilbert import gnnp
+from repro.scheduling import dp_unrelated
 from repro.scheduling.instance import (
     UniformInstance,
     UnrelatedInstance,
@@ -219,7 +219,7 @@ class TestFrozenCorpus:
         on numpy wherever its operands fit (cutoffs at 1)."""
         answers = []
         for cutoff in (sys.maxsize, 1):
-            monkeypatch.setattr(fastpath, "R2_DP_NUMPY_MIN_STATES", cutoff)
+            monkeypatch.setattr(dp_unrelated, "R2_DP_NUMPY_MIN_STATES", cutoff)
             try:
                 schedule = solve(instance)
             except InfeasibleInstanceError:

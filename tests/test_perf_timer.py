@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import InvalidInstanceError
-from repro.perf import Stopwatch, measure
+from repro.perf import measure
 
 
 class FakeClock:
@@ -72,24 +72,3 @@ def test_timing_result_to_phase():
     assert phase.repeat == 1
     assert phase.size == {"n": 7}
     assert phase.ratio == 1.5
-
-
-def test_stopwatch_collects_named_phases():
-    wall = FakeClock([1.0, 0.0, 2.0, 0.0])
-    sw = Stopwatch(wall_clock=wall, cpu_clock=None)
-    with sw.phase("build", size={"n": 3}):
-        pass
-    with sw.phase("solve"):
-        pass
-    names = [(p.name, p.wall_time_s) for p in sw.phases]
-    assert names == [("build", 1.0), ("solve", 2.0)]
-    assert sw.phases[0].size == {"n": 3}
-    assert sw.phases[0].cpu_time_s is None
-
-
-def test_stopwatch_records_phase_even_on_exception():
-    sw = Stopwatch(wall_clock=FakeClock([1.0]), cpu_clock=None)
-    with pytest.raises(RuntimeError):
-        with sw.phase("boom"):
-            raise RuntimeError("inner failure")
-    assert [p.name for p in sw.phases] == ["boom"]
