@@ -46,7 +46,6 @@ from repro.graphs import (
     inequitable_two_coloring,
     hopcroft_karp,
     maximum_matching_size,
-    konig_vertex_cover,
     min_weight_vertex_cover,
     max_weight_independent_set,
     max_weight_independent_set_containing,
@@ -61,7 +60,6 @@ from repro.scheduling import (
     unit_uniform_instance,
     make_uniform_instance,
     Schedule,
-    schedule_from_groups,
     min_cover_time,
     uniform_capacity_lower_bound,
     brute_force_optimal,
@@ -193,7 +191,6 @@ __all__ = [
     "inequitable_two_coloring",
     "hopcroft_karp",
     "maximum_matching_size",
-    "konig_vertex_cover",
     "min_weight_vertex_cover",
     "max_weight_independent_set",
     "max_weight_independent_set_containing",
@@ -206,7 +203,6 @@ __all__ = [
     "unit_uniform_instance",
     "make_uniform_instance",
     "Schedule",
-    "schedule_from_groups",
     "min_cover_time",
     "uniform_capacity_lower_bound",
     "brute_force_optimal",

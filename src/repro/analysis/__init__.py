@@ -1,10 +1,9 @@
-"""Experiment infrastructure: ratio measurement, parameter sweeps,
+"""Experiment infrastructure: ratio measurement, speed-sequence probes,
 plain-text table rendering, and the named instance suites every benchmark
 draws from (so results are comparable across experiments)."""
 
 from repro.analysis.ratio import RatioStats, ratio_of, collect_ratio_stats
 from repro.analysis.tables import format_table, render_number
-from repro.analysis.experiments import run_grid, ExperimentRow
 from repro.analysis.gantt import render_gantt, render_schedule_summary
 from repro.analysis.perf_trend import (
     load_bench_records,
@@ -31,8 +30,6 @@ __all__ = [
     "collect_ratio_stats",
     "format_table",
     "render_number",
-    "run_grid",
-    "ExperimentRow",
     "render_gantt",
     "render_schedule_summary",
     "ProbeResult",

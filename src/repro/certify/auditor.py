@@ -189,7 +189,7 @@ def _audit_one(
         lower_bound=lower,
     )
     try:
-        schedule = spec.execute(instance)
+        schedule = spec.run(instance)
     except InvalidScheduleError as exc:
         # the solver *built* an infeasible schedule and Schedule's own
         # eager validation caught it — that is an infeasible output

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from repro.core.sqrt_approx import (
-    _brute_force_fastest,
+    _base_case,
     _capacity_schedule,
-    _refuse_eligibility,
+    _heavy_jobs,
     _two_fastest_schedule,
 )
-from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
+from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.coloring import inequitable_two_coloring, proper_two_coloring
 from repro.graphs.independent_set import max_weight_independent_set_containing
@@ -128,22 +128,11 @@ def sqrt_approx_ablation(
     if knobs is None:
         known = ", ".join(sorted(ABLATION_VARIANTS))
         raise InvalidInstanceError(f"unknown variant {variant!r}; known: {known}")
-    _refuse_eligibility(instance)
-    n, m = instance.n, instance.m
-    if n == 0:
-        return Schedule(instance, [])
-    if m == 1:
-        if instance.graph.edge_count > 0:
-            raise InfeasibleInstanceError(
-                "a single machine cannot separate incompatible jobs"
-            )
-        return Schedule(instance, [0] * n)
+    base = _base_case(instance)
+    if base is not None:  # no step the knobs vary runs on these
+        return base.schedule
 
-    total = instance.total_p
-    if total <= 16:  # same widened base case as repro.core.sqrt_approx
-        return _brute_force_fastest(instance)
-
-    heavy = [j for j in range(n) if instance.p[j] * instance.p[j] >= total]
+    heavy = _heavy_jobs(instance)
     if knobs.exact_mwis:
         independent = max_weight_independent_set_containing(
             instance.graph, instance.p, heavy
@@ -156,7 +145,7 @@ def sqrt_approx_ablation(
     s1 = _two_fastest_schedule(instance, "fptas")
 
     s2: Schedule | None = None
-    if knobs.build_s2 and independent is not None and m >= 3:
+    if knobs.build_s2 and independent is not None and instance.m >= 3:
         s2, _ = _capacity_schedule(
             instance,
             independent,

@@ -22,16 +22,16 @@ from typing import Literal
 
 from repro.core.r2_fptas import r2_fptas
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
-from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.coloring import proper_two_coloring
 from repro.graphs.components import connected_components
+from repro.graphs.conflict import ConflictGraph
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
 from repro.scheduling.schedule import Schedule
 
 __all__ = ["q2_unit_exact", "feasible_first_machine_counts", "q2_split_cost"]
 
 
-def feasible_first_machine_counts(graph: BipartiteGraph) -> set[int]:
+def feasible_first_machine_counts(graph: ConflictGraph) -> set[int]:
     """All ``n_1`` for which machine 1 can receive exactly ``n_1`` jobs.
 
     Each component contributes either its part-A size or its part-B size to

@@ -31,6 +31,27 @@ from repro.utils.rationals import floor_fraction
 __all__ = ["random_graph_schedule", "random_graph_schedule_balanced"]
 
 
+def _base_case(instance: UniformInstance) -> Schedule | None:
+    """Algorithm 2's refusals and the instances it answers before step 1.
+
+    Raises :exc:`InvalidInstanceError` for non-unit jobs (the paper states
+    Algorithm 2 for ``p_j = 1``) and :exc:`InfeasibleInstanceError` when a
+    single machine faces an edge.  Returns the schedule for ``n == 0`` and
+    ``m == 1``, and ``None`` for every other instance.
+    """
+    if not instance.has_unit_jobs:
+        raise InvalidInstanceError("Algorithm 2 requires unit jobs (p_j = 1)")
+    if instance.n == 0:
+        return Schedule(instance, [])
+    if instance.m == 1:
+        if instance.graph.edge_count > 0:
+            raise InfeasibleInstanceError(
+                "a single machine cannot separate incompatible jobs"
+            )
+        return Schedule(instance, [0] * instance.n)
+    return None
+
+
 def _machine_groups(
     instance: UniformInstance, v2_size: int
 ) -> tuple[list[int], list[int]]:
@@ -62,18 +83,9 @@ def random_graph_schedule(instance: UniformInstance) -> Schedule:
     Algorithm 2 for ``p_j = 1``) and :exc:`InfeasibleInstanceError` when a
     single machine faces an edge.
     """
-    if not instance.has_unit_jobs:
-        raise InvalidInstanceError("Algorithm 2 requires unit jobs (p_j = 1)")
-    n, m = instance.n, instance.m
-    if n == 0:
-        return Schedule(instance, [])
-    if m == 1:
-        if instance.graph.edge_count > 0:
-            raise InfeasibleInstanceError(
-                "a single machine cannot separate incompatible jobs"
-            )
-        return Schedule(instance, [0] * n)
-
+    base = _base_case(instance)
+    if base is not None:
+        return base
     class1, class2 = inequitable_two_coloring(instance.graph)
     group_v1, group_v2 = _machine_groups(instance, len(class2))
     return schedule_job_classes(instance, [(class1, group_v1), (class2, group_v2)])
@@ -99,18 +111,10 @@ def random_graph_schedule_balanced(instance: UniformInstance) -> Schedule:
     than Algorithm 2's choice for the same job.  Experiment E16 measures
     the improvement.
     """
-    if not instance.has_unit_jobs:
-        raise InvalidInstanceError("Algorithm 2 requires unit jobs (p_j = 1)")
+    base = _base_case(instance)
+    if base is not None:
+        return base
     n, m = instance.n, instance.m
-    if n == 0:
-        return Schedule(instance, [])
-    if m == 1:
-        if instance.graph.edge_count > 0:
-            raise InfeasibleInstanceError(
-                "a single machine cannot separate incompatible jobs"
-            )
-        return Schedule(instance, [0] * n)
-
     graph = instance.graph
     isolated = [v for v in range(n) if graph.degree(v) == 0]
     active = [v for v in range(n) if graph.degree(v) > 0]

@@ -92,18 +92,6 @@ class SqrtApproxResult:
     independent_set: frozenset[int] | None
 
 
-def _refuse_eligibility(instance: UniformInstance) -> None:
-    """Raise :exc:`InvalidInstanceError` on an instance with eligibility masks.
-
-    Algorithm 1 is stated for unrestricted uniform machines: its base
-    case, ``S1`` and ``S2`` all place jobs without reading masks.
-    """
-    if instance.has_eligibility:
-        raise InvalidInstanceError(
-            "Algorithm 1 cannot honour machine-eligibility masks"
-        )
-
-
 def _brute_force_fastest(instance: UniformInstance) -> Schedule:
     """Exact optimum using only the ``min(m, n)`` fastest machines.
 
@@ -116,6 +104,48 @@ def _brute_force_fastest(instance: UniformInstance) -> Schedule:
     sub = UniformInstance(instance.graph, instance.p, instance.speeds[:m_eff])
     best = brute_force_optimal(sub)
     return Schedule(instance, best.assignment)
+
+
+def _base_case(instance: UniformInstance) -> SqrtApproxResult | None:
+    """Algorithm 1's refusals and the instances it answers before step 2.
+
+    Raises :exc:`InvalidInstanceError` on eligibility masks (Algorithm 1
+    is stated for unrestricted uniform machines: its base case, ``S1``
+    and ``S2`` all place jobs without reading masks) and
+    :exc:`InfeasibleInstanceError` when one machine faces an edge.
+    Returns the result for ``n == 0``, ``m == 1`` and step 1's
+    ``sum p_j <= 16``, and ``None`` for every other instance.
+    """
+    if instance.has_eligibility:
+        raise InvalidInstanceError(
+            "Algorithm 1 cannot honour machine-eligibility masks"
+        )
+    n, m = instance.n, instance.m
+    if n == 0:
+        empty = Schedule(instance, [])
+        return SqrtApproxResult(empty, empty, None, None, "s1", None)
+    if m == 1:
+        if instance.graph.edge_count > 0:
+            raise InfeasibleInstanceError(
+                "a single machine cannot separate incompatible jobs"
+            )
+        all_on_one = Schedule(instance, [0] * n)
+        return SqrtApproxResult(all_on_one, all_on_one, None, None, "s1", None)
+    # step 1: small instances exactly (threshold 16, not the paper's 4 —
+    # see the module docstring).  Only the min(m, n) fastest machines
+    # can matter: moving any machine's whole job set to an unused faster
+    # machine never increases the makespan or breaks independence.
+    if instance.total_p <= 16:
+        best = _brute_force_fastest(instance)
+        return SqrtApproxResult(best, best, None, None, "brute_force", None)
+    return None
+
+
+def _heavy_jobs(instance: UniformInstance) -> list[int]:
+    """Step 2's heavy jobs, ``p_j >= sqrt(sum p_j)``, compared exactly as
+    ``p_j^2 >= sum p_j``."""
+    total = instance.total_p
+    return [j for j in range(instance.n) if instance.p[j] * instance.p[j] >= total]
 
 
 def _two_fastest_schedule(
@@ -215,38 +245,18 @@ def sqrt_approx_schedule(
     ``"two_approx"`` (Algorithm 4) has the identical guarantee at ``O(n)``
     cost and is preferable for very large instances.
     """
-    _refuse_eligibility(instance)
-    n, m = instance.n, instance.m
-    if n == 0:
-        empty = Schedule(instance, [])
-        return SqrtApproxResult(empty, empty, None, None, "s1", None)
-    if m == 1:
-        if instance.graph.edge_count > 0:
-            raise InfeasibleInstanceError(
-                "a single machine cannot separate incompatible jobs"
-            )
-        all_on_one = Schedule(instance, [0] * n)
-        return SqrtApproxResult(all_on_one, all_on_one, None, None, "s1", None)
-
-    total = instance.total_p
-
-    # step 1: small instances exactly (threshold 16, not the paper's 4 —
-    # see the module docstring).  Only the min(m, n) fastest machines
-    # can matter: moving any machine's whole job set to an unused faster
-    # machine never increases the makespan or breaks independence.
-    if total <= 16:
-        best = _brute_force_fastest(instance)
-        return SqrtApproxResult(best, best, None, None, "brute_force", None)
+    base = _base_case(instance)
+    if base is not None:
+        return base
 
     # step 2: the distinguished independent set
-    heavy = [j for j in range(n) if instance.p[j] * instance.p[j] >= total]
     independent = max_weight_independent_set_containing(
-        instance.graph, instance.p, heavy
+        instance.graph, instance.p, _heavy_jobs(instance)
     )
 
     s2: Schedule | None = None
     cap_bound: Fraction | None = None
-    if independent is not None and m >= 3:
+    if independent is not None and instance.m >= 3:
         # step 8 colours J \ I inequitably; the lambda looks the colouring
         # up in this module when it runs, so a rebound name (e2ebench's
         # tracer rebinds it) is the one called
@@ -261,7 +271,8 @@ def sqrt_approx_schedule(
     # schedule on M_1, M_2 alone beats this bound, so an S2 strictly below
     # it is what step 5 returns whatever S1 would be.
     if s2 is not None and s2.makespan < max(
-        min_cover_time(instance.speeds[:2], total), pmax_lower_bound(instance)
+        min_cover_time(instance.speeds[:2], instance.total_p),
+        pmax_lower_bound(instance),
     ):
         return SqrtApproxResult(s2, None, s2, cap_bound, "s2", independent_set)
     s1 = _two_fastest_schedule(instance, s1_solver)

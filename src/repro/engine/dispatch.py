@@ -320,4 +320,4 @@ def solve(instance: SchedulingInstance, algorithm: str = "auto") -> Schedule:
             f"algorithm {name!r} does not apply to this instance "
             f"({spec.guarantee}; {spec.anchor})"
         )
-    return spec.execute(instance)
+    return spec.run(instance)

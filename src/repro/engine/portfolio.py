@@ -185,7 +185,7 @@ def portfolio_solve(
             continue
         t0 = perf_counter()
         try:
-            schedule = REGISTRY[name].execute(instance)
+            schedule = REGISTRY[name].run(instance)
         except ReproError as exc:
             entries.append(
                 PortfolioEntry(

@@ -51,9 +51,7 @@ from repro.core.random_graph_scheduler import (
 )
 from repro.core.sqrt_approx import sqrt_approx_schedule
 from repro.exceptions import InvalidInstanceError
-from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.structure import (
-    as_bipartite_graph,
     complete_bipartite_parts_with_free,
     is_bipartite_structure,
     is_block_structure,
@@ -97,7 +95,9 @@ MACHINE_KINDS = ("any", "uniform", "unrelated")
 #: ``bipartite`` any 2-colorable conflict graph, ``complete_multipartite``
 #: classes of mutually-compatible jobs with all cross-class conflicts
 #: (+ isolated vertices), ``block`` graphs whose biconnected components
-#: are cliques
+#: are cliques.  The classes are structural: a bipartite method gets the
+#: instance's graph in whatever representation it is stored and reads
+#: its ``side`` witness, which every 2-colorable graph has.
 GRAPH_CLASSES = (
     "any",
     "edgeless",
@@ -306,7 +306,11 @@ class AlgorithmSpec:
     name: str
     guarantee: str
     anchor: str
-    run: Callable[[SchedulingInstance], Schedule] | None = None
+    run: Callable[[SchedulingInstance], Schedule] = None  # type: ignore[assignment]
+    """The algorithm: ``run(instance)`` returns its schedule.  Dispatch,
+    the portfolio and the auditor call it on the instance as given.  A
+    spec without one is refused at construction, so the default is
+    never called."""
     ratio_bound: Callable[[SchedulingInstance], Fraction | None] | None = None
     guarantee_check: (
         Callable[[SchedulingInstance, Fraction, Fraction], bool] | None
@@ -347,36 +351,6 @@ class AlgorithmSpec:
     ) -> tuple[bool, tuple[str, ...]]:
         """``(applies, rejection reasons)`` — the explainable form."""
         return self.capability.evaluate(instance)
-
-    def execute(self, instance: SchedulingInstance) -> Schedule:
-        """Run the algorithm, coercing the graph representation if needed.
-
-        Bipartite-capability algorithms are gated *structurally*
-        (:func:`~repro.graphs.structure.is_bipartite_structure` accepts
-        any 2-colorable graph), but several implementations —
-        Hopcroft–Karp matching, König vertex covers — need the concrete
-        :class:`~repro.graphs.bipartite.BipartiteGraph` with its side
-        witness.  When the instance stores its graph in another
-        representation (a forest-shaped
-        :class:`~repro.graphs.conflict.BlockGraph`, say), run on a
-        converted copy and re-home the schedule on the original
-        instance.  All engine entry points (dispatch, portfolio,
-        auditor) go through here rather than calling ``run`` directly.
-        """
-        run = self.run
-        if run is None:  # pragma: no cover - __post_init__ guarantees
-            raise InvalidInstanceError(
-                f"algorithm {self.name!r} has no run callable"
-            )
-        if (
-            self.capability.graph in ("bipartite", "complete_bipartite")
-            and not isinstance(instance.graph, BipartiteGraph)
-            and is_bipartite_structure(instance.graph)
-        ):
-            coerced = instance.with_graph(as_bipartite_graph(instance.graph))
-            schedule = run(coerced)
-            return Schedule(instance, schedule.assignment)
-        return run(instance)
 
 
 class AlgorithmRegistry(Mapping):

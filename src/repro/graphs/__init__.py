@@ -4,8 +4,9 @@ Everything the paper's algorithms need from graph theory, implemented
 from scratch: the :class:`ConflictGraph` abstraction with its
 :class:`BipartiteGraph`, :class:`CompleteMultipartiteGraph`, and
 :class:`BlockGraph` implementations, proper/inequitable 2-colorings
-(Definition 1), maximum matching (Hopcroft-Karp), König vertex covers,
-maximum-weight independent sets via min-cut (used by Algorithm 1),
+(Definition 1), maximum matching (Hopcroft-Karp), minimum-weight vertex
+covers and maximum-weight independent sets via min-cut (used by
+Algorithm 1),
 deterministic instance-family generators, structural conflict-class
 recognition, and the 1-PrExt precoloring-extension problem
 (Definition 2 / Theorem 3).
@@ -18,7 +19,7 @@ from repro.graphs.conflict import (
     biconnected_components,
 )
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import connected_components, component_subgraphs
+from repro.graphs.components import connected_components
 from repro.graphs.coloring import (
     proper_two_coloring,
     inequitable_two_coloring,
@@ -32,11 +33,7 @@ from repro.graphs.maximal_matching import (
     minimum_maximal_matching_size,
     small_maximal_matching,
 )
-from repro.graphs.vertex_cover import (
-    konig_vertex_cover,
-    min_weight_vertex_cover,
-    is_vertex_cover,
-)
+from repro.graphs.vertex_cover import min_weight_vertex_cover, is_vertex_cover
 from repro.graphs.independent_set import (
     max_weight_independent_set,
     max_weight_independent_set_containing,
@@ -75,7 +72,6 @@ __all__ = [
     "BlockGraph",
     "biconnected_components",
     "connected_components",
-    "component_subgraphs",
     "proper_two_coloring",
     "inequitable_two_coloring",
     "is_proper_coloring",
@@ -86,7 +82,6 @@ __all__ = [
     "matching_size",
     "minimum_maximal_matching_size",
     "small_maximal_matching",
-    "konig_vertex_cover",
     "min_weight_vertex_cover",
     "is_vertex_cover",
     "max_weight_independent_set",

@@ -1,19 +1,23 @@
 """The :class:`BipartiteGraph` container.
 
-Vertices are integers ``0..n-1``.  Every instance carries an explicit
-bipartition witness (``side[v] in {0, 1}``) validated at construction, so
-all downstream algorithms may assume bipartiteness instead of re-checking
-it.  Graphs are immutable after construction; structural edits go through
-the functional helpers (:meth:`induced_subgraph`, :meth:`disjoint_union`,
+Vertices are integers ``0..n-1``.  Every instance stores its adjacency
+and an explicit bipartition witness (``side[v] in {0, 1}``) validated at
+construction.  The bipartite algorithms need only adjacency and
+:attr:`~repro.graphs.conflict.ConflictGraph.side`, which every
+2-colorable :class:`~repro.graphs.conflict.ConflictGraph` has, so this
+class adds no algorithmic surface: it keeps the stored-adjacency
+accessors and the declared witness, and inherits the rest.  Graphs are
+immutable after construction; structural edits go through the
+functional helpers (:meth:`induced_subgraph`, :meth:`disjoint_union`,
 :meth:`with_edges`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import InvalidInstanceError, NotBipartiteError
-from repro.graphs.conflict import ConflictGraph, two_coloring
+from repro.graphs.conflict import ConflictGraph
 
 __all__ = ["BipartiteGraph"]
 
@@ -30,8 +34,10 @@ class BipartiteGraph(ConflictGraph):
         are rejected; parallel edges collapse.
     side:
         Optional bipartition witness: ``side[v]`` is 0 or 1.  When omitted
-        a witness is computed by BFS (:exc:`NotBipartiteError` if none
-        exists).  When given, every edge must cross sides.
+        the witness is the canonical 2-coloring every
+        :class:`~repro.graphs.conflict.ConflictGraph` derives
+        (:exc:`NotBipartiteError` if none exists).  When given, every
+        edge must cross sides.
     """
 
     __slots__ = ("_n", "_side", "_adj", "_edge_count")
@@ -58,7 +64,7 @@ class BipartiteGraph(ConflictGraph):
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._edge_count = sum(len(s) for s in self._adj) // 2
         if side is None:
-            self._side = self._infer_side()
+            self._side = super().side
         else:
             side_t = tuple(int(s) for s in side)
             if len(side_t) != n:
@@ -97,17 +103,6 @@ class BipartiteGraph(ConflictGraph):
                 raise InvalidInstanceError(f"part-indexed edge out of range: ({i - 0}, {j - left})")
         return cls(n, remapped, side=side)
 
-    def _infer_side(self) -> tuple[int, ...]:
-        """The canonical 2-coloring used as the bipartition witness.
-
-        Isolated vertices land on side 0; each component's lowest-index
-        vertex lands on side 0, making the witness deterministic.
-        """
-        side = two_coloring(self)
-        if side is None:
-            raise NotBipartiteError("odd cycle detected; the graph has no bipartition")
-        return side
-
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #
@@ -124,7 +119,7 @@ class BipartiteGraph(ConflictGraph):
 
     @property
     def side(self) -> tuple[int, ...]:
-        """The bipartition witness (0/1 per vertex)."""
+        """The declared bipartition witness (0/1 per vertex)."""
         return self._side
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -135,58 +130,12 @@ class BipartiteGraph(ConflictGraph):
         """Degree of ``v``."""
         return len(self._adj[v])
 
-    def max_degree(self) -> int:
-        """Maximum degree (0 for the empty graph)."""
-        return max((len(a) for a in self._adj), default=0)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate edges as ordered pairs ``(u, v)`` with ``u < v``."""
-        for u in range(self._n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``{u, v}`` is an edge."""
-        return v in self._adj[u]
-
-    def vertices_on_side(self, s: int) -> list[int]:
-        """All vertices whose witness side equals ``s``."""
-        return [v for v in range(self._n) if self._side[v] == s]
-
     def parts(self) -> tuple[tuple[int, ...], ...]:
         """The two bipartition sides as vertex classes (witness order)."""
         return (
             tuple(self.vertices_on_side(0)),
             tuple(self.vertices_on_side(1)),
         )
-
-    def isolated_vertices(self) -> list[int]:
-        """Vertices of degree zero."""
-        return [v for v in range(self._n) if not self._adj[v]]
-
-    # ------------------------------------------------------------------ #
-    # predicates
-    # ------------------------------------------------------------------ #
-
-    def is_independent_set(self, vertices: Iterable[int]) -> bool:
-        """Whether ``vertices`` induce no edge (the machine-feasibility test)."""
-        vs = list(vertices)
-        vset = set(vs)
-        if len(vset) != len(vs):
-            # duplicated vertices are still fine for independence purposes
-            pass
-        for v in vset:
-            if self._adj[v] & vset:
-                return False
-        return True
-
-    def closed_neighborhood(self, vertices: Iterable[int]) -> set[int]:
-        """``N[S]``: the vertices of ``S`` together with all their neighbours."""
-        out = set(vertices)
-        for v in list(out):
-            out |= self._adj[v]
-        return out
 
     # ------------------------------------------------------------------ #
     # structural operations (all functional — graphs are immutable)
@@ -234,7 +183,7 @@ class BipartiteGraph(ConflictGraph):
         return BipartiteGraph(self._n, edges, side=side)
 
     # ------------------------------------------------------------------ #
-    # interop & dunder
+    # interop
     # ------------------------------------------------------------------ #
 
     def to_networkx(self):
@@ -247,14 +196,6 @@ class BipartiteGraph(ConflictGraph):
             g.nodes[v]["bipartite"] = self._side[v]
         g.add_edges_from(self.edges())
         return g
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return self._n == other._n and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._adj))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BipartiteGraph(n={self._n}, edges={self._edge_count})"

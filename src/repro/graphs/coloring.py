@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.exceptions import NotBipartiteError
-from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.conflict import two_coloring
+from repro.graphs.conflict import ConflictGraph, two_coloring
 
 __all__ = [
     "proper_two_coloring",
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 
-def proper_two_coloring(graph: BipartiteGraph) -> tuple[int, ...]:
+def proper_two_coloring(graph: ConflictGraph) -> tuple[int, ...]:
     """A canonical proper 2-coloring (0/1 per vertex).
 
     Within each component, the smallest-index vertex receives color 0; the
@@ -37,7 +36,7 @@ def proper_two_coloring(graph: BipartiteGraph) -> tuple[int, ...]:
 
 
 def inequitable_two_coloring(
-    graph: BipartiteGraph,
+    graph: ConflictGraph,
     weights: Sequence[int] | None = None,
     vertices: Iterable[int] | None = None,
 ) -> tuple[list[int], list[int]]:
@@ -46,7 +45,7 @@ def inequitable_two_coloring(
     Parameters
     ----------
     graph:
-        The bipartite (incompatibility) graph.
+        The (incompatibility) graph; any 2-colorable representation.
     weights:
         Optional positive vertex weights (job processing requirements in
         Algorithm 1), indexed by vertex id.  ``None`` means unit weights,
@@ -63,9 +62,9 @@ def inequitable_two_coloring(
     component's smallest vertex into class 1, making output deterministic.
 
     One traversal finds the components in order of their smallest vertex
-    and splits each by the bipartition witness: a connected bipartite
-    graph has exactly two proper 2-colorings, and the witness restricted
-    to the component is one of them.
+    and splits each by the bipartition witness ``graph.side``: a
+    connected bipartite graph has exactly two proper 2-colorings, and the
+    witness restricted to the component is one of them.
     """
     n = graph.n
     if weights is not None and len(weights) != n:
@@ -111,7 +110,7 @@ def inequitable_two_coloring(
     return class1, class2
 
 
-def is_proper_coloring(graph: BipartiteGraph, colors: Sequence[int]) -> bool:
+def is_proper_coloring(graph: ConflictGraph, colors: Sequence[int]) -> bool:
     """Whether ``colors`` assigns distinct values across every edge."""
     if len(colors) != graph.n:
         return False

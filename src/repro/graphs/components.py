@@ -1,16 +1,17 @@
 """Connected-component decomposition.
 
 Algorithms 3-5 of the paper operate *per connected component* of the
-incompatibility graph; Algorithm 1's inequitable coloring likewise chooses
-an orientation per component.  Both consume the helpers here.
+incompatibility graph: the R2 reduction and Theorem 4's split walk the
+vertex lists returned here, as do structure recognition and the exact
+oracle.  They work on any :class:`ConflictGraph` representation, and no
+subgraph is built.
 """
 
 from __future__ import annotations
 
-from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.conflict import ConflictGraph
 
-__all__ = ["connected_components", "component_subgraphs"]
+__all__ = ["connected_components"]
 
 
 def connected_components(graph: ConflictGraph) -> list[list[int]]:
@@ -37,15 +38,3 @@ def connected_components(graph: ConflictGraph) -> list[list[int]]:
         comp.sort()
         components.append(comp)
     return components
-
-
-def component_subgraphs(
-    graph: BipartiteGraph,
-) -> list[tuple[BipartiteGraph, list[int]]]:
-    """Each component as ``(subgraph, original_vertex_ids)``.
-
-    The second element maps subgraph vertex ``i`` back to its id in the
-    parent graph, which the R2 reduction uses to reconstruct schedules.
-    (Bipartite-only: ``induced_subgraph`` carries the side witness.)
-    """
-    return [graph.induced_subgraph(comp) for comp in connected_components(graph)]

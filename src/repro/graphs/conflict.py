@@ -18,10 +18,12 @@ implementations:
   :mod:`repro.scheduling.conflict_split` exploits.
 
 :class:`~repro.graphs.bipartite.BipartiteGraph` subclasses
-:class:`ConflictGraph`; all adjacency-generic algorithms in the repo
-(:func:`~repro.graphs.components.connected_components`, the greedy and
-brute-force schedulers, schedule validation, certification) work on any
-implementation unchanged.
+:class:`ConflictGraph`.  Every algorithm in the repo reads the graph
+through this base: adjacency, plus :attr:`ConflictGraph.side`, the
+bipartition witness the paper's bipartite methods need, which any
+2-colorable graph has.  So a forest stored as a :class:`BlockGraph` or a
+two-class :class:`CompleteMultipartiteGraph` runs through those methods
+as it is, with no conversion.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, Sequence
 
-from repro.exceptions import InvalidInstanceError
+from repro.exceptions import InvalidInstanceError, NotBipartiteError
 
 __all__ = [
     "ConflictGraph",
@@ -107,6 +109,25 @@ class ConflictGraph(ABC):
     def isolated_vertices(self) -> list[int]:
         """Vertices of degree zero (jobs compatible with everything)."""
         return [v for v in range(self.n) if not self.neighbors(v)]
+
+    @property
+    def side(self) -> tuple[int, ...]:
+        """The bipartition witness (0/1 per vertex): :func:`two_coloring`.
+
+        Computed on each access, so a caller reads it once, never once
+        per vertex.  :class:`~repro.graphs.bipartite.BipartiteGraph`
+        returns its declared witness instead.  Raises
+        :exc:`~repro.exceptions.NotBipartiteError` on an odd cycle.
+        """
+        color = two_coloring(self)
+        if color is None:
+            raise NotBipartiteError("odd cycle detected; the graph has no bipartition")
+        return color
+
+    def vertices_on_side(self, s: int) -> list[int]:
+        """All vertices whose :attr:`side` equals ``s``, ascending."""
+        side = self.side
+        return [v for v in range(self.n) if side[v] == s]
 
     def parts(self) -> tuple[tuple[int, ...], ...] | None:
         """Known mutually-compatible vertex classes, or ``None``.

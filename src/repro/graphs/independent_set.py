@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.conflict import ConflictGraph
 from repro.graphs.matching import maximum_matching_size
 from repro.graphs.vertex_cover import min_weight_vertex_cover
 
@@ -30,7 +30,7 @@ __all__ = [
 
 
 def max_weight_independent_set(
-    graph: BipartiteGraph, weights: Sequence[int]
+    graph: ConflictGraph, weights: Sequence[int]
 ) -> set[int]:
     """Maximum-weight independent set (positive integer weights).
 
@@ -41,7 +41,7 @@ def max_weight_independent_set(
 
 
 def max_weight_independent_set_containing(
-    graph: BipartiteGraph,
+    graph: ConflictGraph,
     weights: Sequence[int],
     required: Iterable[int],
 ) -> set[int] | None:
@@ -62,6 +62,6 @@ def max_weight_independent_set_containing(
     return req.union(v for v in free if v not in cover)
 
 
-def independence_number(graph: BipartiteGraph) -> int:
+def independence_number(graph: ConflictGraph) -> int:
     """``alpha(G) = n - mu(G)`` for bipartite graphs (König/Gallai)."""
     return graph.n - maximum_matching_size(graph)

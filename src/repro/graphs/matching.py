@@ -24,17 +24,17 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.conflict import ConflictGraph
 
 __all__ = ["hopcroft_karp", "maximum_matching_size", "is_matching"]
 
 
-def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
+def hopcroft_karp(graph: ConflictGraph) -> list[int]:
     """Maximum matching as a mate array.
 
     Returns ``mate`` with ``mate[v]`` the partner of ``v`` or ``-1`` when
-    ``v`` is exposed.  The declared bipartition witness provides the two
-    sides; left = side 0.
+    ``v`` is exposed.  The bipartition witness ``graph.side`` provides
+    the two sides; left = side 0.
     """
     n = graph.n
     unreached = n + 1  # larger than any real BFS level
@@ -117,13 +117,13 @@ def hopcroft_karp(graph: BipartiteGraph) -> list[int]:
                         path_v.pop()
 
 
-def maximum_matching_size(graph: BipartiteGraph) -> int:
+def maximum_matching_size(graph: ConflictGraph) -> int:
     """``mu(G)``: the number of edges in a maximum matching."""
     mate = hopcroft_karp(graph)
     return sum(1 for v in range(graph.n) if mate[v] != -1) // 2
 
 
-def is_matching(graph: BipartiteGraph, mate: list[int]) -> bool:
+def is_matching(graph: ConflictGraph, mate: list[int]) -> bool:
     """Validate a mate array: symmetric, uses only real edges."""
     if len(mate) != graph.n:
         return False

@@ -124,10 +124,11 @@ def minimum_maximal_matching_size(graph: BipartiteGraph) -> int:
     non-isolated vertices of the side with fewer of them: ``2**|L'|``
     Hopcroft–Karp calls on small induced subgraphs.
     """
+    side = graph.side
     sides: tuple[list[int], list[int]] = ([], [])
     for v in range(graph.n):
         if graph.degree(v):
-            sides[graph.side[v]].append(v)
+            sides[side[v]].append(v)
     small = min(sides, key=len)
     best = graph.n
     for mask in range(1 << len(small)):

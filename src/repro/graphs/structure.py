@@ -12,14 +12,16 @@ so tests can assert that generators produce what they claim.
 
 Every predicate works on any :class:`~repro.graphs.conflict.ConflictGraph`
 — recognition is *structural* (adjacency-based), independent of which
-representation class the graph happens to be stored in.
+representation class the graph happens to be stored in.  A graph that
+passes :func:`is_bipartite_structure` goes to the bipartite methods as
+it is: they read :attr:`~repro.graphs.conflict.ConflictGraph.side`,
+which every 2-colorable representation has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import NotBipartiteError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.components import connected_components
 from repro.graphs.conflict import ConflictGraph, biconnected_components, two_coloring
@@ -33,7 +35,6 @@ __all__ = [
     "is_cubic",
     "is_bisubquartic",
     "is_bipartite_structure",
-    "as_bipartite_graph",
     "is_block_structure",
     "multipartite_decomposition",
     "classify_conflict_graph",
@@ -109,30 +110,6 @@ def is_bipartite_structure(graph: ConflictGraph) -> bool:
     representations are checked by 2-coloring.
     """
     return isinstance(graph, BipartiteGraph) or two_coloring(graph) is not None
-
-
-def as_bipartite_graph(graph: ConflictGraph) -> BipartiteGraph:
-    """A :class:`BipartiteGraph` view of any 2-colorable conflict graph.
-
-    Bipartite-specific algorithms (Hopcroft–Karp matching, König vertex
-    covers) need the concrete representation with its side witness, but
-    :mod:`repro.engine` gates them *structurally* — a 2-colorable
-    :class:`~repro.graphs.conflict.BlockGraph` (a forest, say) passes the
-    gate.  This converts such a graph with its canonical 2-coloring,
-    preserving vertex numbering; isolated vertices land on side 0.
-    Raises :class:`~repro.exceptions.NotBipartiteError` on an odd cycle.
-
-    ``BipartiteGraph`` inputs are returned unchanged.
-    """
-    if isinstance(graph, BipartiteGraph):
-        return graph
-    color = two_coloring(graph)
-    if color is None:
-        raise NotBipartiteError("graph has an odd cycle, so it is not bipartite")
-    edges = [
-        (u, v) for u in range(graph.n) for v in graph.neighbors(u) if u < v
-    ]
-    return BipartiteGraph(graph.n, edges, side=color)
 
 
 def is_block_structure(graph: ConflictGraph) -> bool:
@@ -242,37 +219,31 @@ def complete_bipartite_parts_with_free(
     subgraph is not a complete join of two independent sets.  Edgeless
     graphs decompose as ``([], [], all_vertices)``.
 
-    For :class:`~repro.graphs.bipartite.BipartiteGraph` the split follows
-    the bipartition witness (side 0 left), keeping pre-refactor behaviour
-    bit-for-bit; other representations split by the (deterministic,
-    sorted) structural decomposition.
+    The split follows :attr:`~repro.graphs.conflict.ConflictGraph.side`
+    (side 0 left) on every representation: a declared witness for a
+    :class:`~repro.graphs.bipartite.BipartiteGraph`, the canonical
+    2-coloring otherwise.  Graphs that are not 2-colorable give ``None``.
     """
+    if not is_bipartite_structure(graph):
+        return None
     free = [v for v in range(graph.n) if graph.degree(v) == 0]
-    active = [v for v in range(graph.n) if graph.degree(v) > 0]
-    if not active:
+    # a complete bipartite graph is connected, so all active vertices
+    # must share one component; the parts are the two coloring classes
+    comps = [c for c in connected_components(graph) if len(c) > 1]
+    if not comps:
         return [], [], free
-    if isinstance(graph, BipartiteGraph):
-        # a complete bipartite graph is connected, so all active vertices
-        # must share one component; the parts are the two coloring classes
-        comps = [c for c in connected_components(graph) if len(c) > 1]
-        if len(comps) != 1:
-            return None
-        left = [v for v in comps[0] if graph.side[v] == 0]
-        right = [v for v in comps[0] if graph.side[v] == 1]
-        # completeness: every left vertex sees every right vertex.
-        # Comparing degree to |other part| suffices (no multi-edges).
-        if any(graph.degree(v) != len(right) for v in left):
-            return None
-        if any(graph.degree(v) != len(left) for v in right):
-            return None
-        return left, right, free
-    mp = multipartite_decomposition(graph)
-    if mp is None:
+    if len(comps) != 1:
         return None
-    classes, mp_free = mp
-    if len(classes) != 2:
+    side = graph.side
+    left = [v for v in comps[0] if side[v] == 0]
+    right = [v for v in comps[0] if side[v] == 1]
+    # completeness: every left vertex sees every right vertex.
+    # Comparing degree to |other part| suffices (no multi-edges).
+    if any(graph.degree(v) != len(right) for v in left):
         return None
-    return classes[0], classes[1], mp_free
+    if any(graph.degree(v) != len(left) for v in right):
+        return None
+    return left, right, free
 
 
 @dataclass(frozen=True)

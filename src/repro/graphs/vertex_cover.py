@@ -1,16 +1,14 @@
-"""Minimum vertex covers in bipartite graphs.
+"""Minimum-weight vertex covers in bipartite graphs.
 
-Two constructions:
-
-* :func:`konig_vertex_cover` — the cardinality version from a maximum
-  matching (König's theorem), used to compute independence numbers for the
-  random-graph experiments of Section 4.1.
-* :func:`min_weight_vertex_cover` — the weighted version via a minimum
-  s-t cut (König–Egerváry), the engine behind the maximum-*weight*
-  independent set that step 2 of Algorithm 1 requires.  Its max flow
-  (a greedy pass, then FIFO push–relabel with global relabelling) is
-  written for that one network and runs on the graph's own adjacency;
-  the tests compare it against a generic Dinic max flow.
+:func:`min_weight_vertex_cover` computes the weighted cover via a minimum
+s-t cut (König–Egerváry), the engine behind the maximum-*weight*
+independent set that step 2 of Algorithm 1 requires.  Its max flow (a
+greedy pass, then FIFO push–relabel with global relabelling) is written
+for that one network and runs on the graph's own adjacency and its
+``side`` witness, so any 2-colorable
+:class:`~repro.graphs.conflict.ConflictGraph` works; the tests compare
+it against a generic Dinic max flow.  The cardinality version is the
+unit-weight case (König: its size is the maximum matching size).
 """
 
 from __future__ import annotations
@@ -18,45 +16,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.matching import hopcroft_karp
+from repro.graphs.conflict import ConflictGraph
 
-__all__ = ["konig_vertex_cover", "min_weight_vertex_cover", "is_vertex_cover"]
-
-
-def konig_vertex_cover(graph: BipartiteGraph) -> set[int]:
-    """A minimum-cardinality vertex cover (König construction).
-
-    Starting from the exposed left vertices of a maximum matching, walk
-    alternating paths (unmatched edge left->right, matched edge
-    right->left); with ``Z`` the set of visited vertices the cover is
-    ``(L \\ Z) | (R & Z)`` and its size equals the matching size.
-    """
-    mate = hopcroft_karp(graph)
-    left = graph.vertices_on_side(0)
-    in_z = [False] * graph.n
-    stack = [u for u in left if mate[u] == -1]
-    for u in stack:
-        in_z[u] = True
-    while stack:
-        u = stack.pop()
-        if graph.side[u] == 0:  # move along non-matching edges
-            for v in graph.neighbors(u):
-                if v != mate[u] and not in_z[v]:
-                    in_z[v] = True
-                    stack.append(v)
-        else:  # move along the matching edge
-            w = mate[u]
-            if w != -1 and not in_z[w]:
-                in_z[w] = True
-                stack.append(w)
-    cover = {u for u in range(graph.n) if graph.side[u] == 0 and not in_z[u]}
-    cover |= {u for u in range(graph.n) if graph.side[u] == 1 and in_z[u]}
-    return cover
+__all__ = ["min_weight_vertex_cover", "is_vertex_cover"]
 
 
 def min_weight_vertex_cover(
-    graph: BipartiteGraph,
+    graph: ConflictGraph,
     weights: Sequence[int],
     vertices: Iterable[int] | None = None,
 ) -> set[int]:
@@ -259,7 +225,7 @@ def min_weight_vertex_cover(
 
 
 def _global_relabel(
-    graph: BipartiteGraph,
+    graph: ConflictGraph,
     region: bytearray,
     nbrs: dict[int, list[int]],
     rights: list[int],
@@ -305,7 +271,7 @@ def _global_relabel(
     return dist
 
 
-def is_vertex_cover(graph: BipartiteGraph, cover: Iterable[int]) -> bool:
+def is_vertex_cover(graph: ConflictGraph, cover: Iterable[int]) -> bool:
     """Whether every edge has at least one endpoint in ``cover``."""
     cset = set(cover)
     return all(u in cset or v in cset for u, v in graph.edges())

@@ -10,7 +10,7 @@ from repro.scheduling.instance import (
     unit_uniform_instance,
     make_uniform_instance,
 )
-from repro.scheduling.schedule import Schedule, schedule_from_groups
+from repro.scheduling.schedule import Schedule
 from repro.scheduling.bounds import (
     min_cover_time,
     area_lower_bound,
@@ -56,7 +56,6 @@ __all__ = [
     "unit_uniform_instance",
     "make_uniform_instance",
     "Schedule",
-    "schedule_from_groups",
     "min_cover_time",
     "area_lower_bound",
     "pmax_lower_bound",

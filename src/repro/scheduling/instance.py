@@ -73,10 +73,6 @@ class SchedulingInstance(ABC):
         """Completion time of ``machine`` running exactly ``jobs``."""
 
     @abstractmethod
-    def with_graph(self, graph: ConflictGraph) -> "SchedulingInstance":
-        """The same instance data under a different graph representation."""
-
-    @abstractmethod
     def allows(self, machine: int, job: int) -> bool:
         """Whether ``job`` may run on ``machine`` at all."""
 
@@ -234,21 +230,6 @@ class UniformInstance(SchedulingInstance):
         load = sum(self.p[j] for j in jobs)
         return Fraction(load) / self.speeds[machine]
 
-    def with_graph(self, graph: ConflictGraph) -> "UniformInstance":
-        """The same job/machine data under a different graph representation.
-
-        Used by the engine to hand a *structurally* bipartite instance
-        (e.g. a 2-colorable block graph) to an algorithm whose
-        implementation needs a concrete
-        :class:`~repro.graphs.bipartite.BipartiteGraph` with a side
-        witness.  The replacement must describe the same job set.
-        """
-        if graph.n != self.graph.n:
-            raise InvalidInstanceError(
-                f"replacement graph has {graph.n} vertices for {self.graph.n} jobs"
-            )
-        return UniformInstance(graph, self.p, self.speeds, self.eligible)
-
     def to_unrelated(
         self, machines: Sequence[int] | None = None
     ) -> "UnrelatedInstance":
@@ -385,16 +366,6 @@ class UnrelatedInstance(SchedulingInstance):
         The ``R`` counterpart of :attr:`UniformInstance.has_eligibility`.
         """
         return self._forbidden
-
-    def with_graph(self, graph: ConflictGraph) -> "UnrelatedInstance":
-        """The same time matrix under a different graph representation.
-
-        See :meth:`UniformInstance.with_graph`."""
-        if graph.n != self.graph.n:
-            raise InvalidInstanceError(
-                f"replacement graph has {graph.n} vertices for {self.graph.n} jobs"
-            )
-        return UnrelatedInstance.from_ticks(graph, self.scale, self.ticks)
 
     def grid(self) -> tuple[int, tuple[tuple[int | None, ...], ...]]:
         return self.scale, self.ticks

@@ -138,7 +138,6 @@ def assign_group_greedy(
 def schedule_job_classes(
     instance: UniformInstance,
     groups: Sequence[tuple[Sequence[int], Sequence[int]]],
-    check: bool = True,
 ) -> Schedule:
     """Build a schedule from ``(job_class, machine_group)`` pairs.
 
@@ -156,7 +155,7 @@ def schedule_job_classes(
     missing = [j for j in range(instance.n) if assignment[j] == -1]
     if missing:
         raise InvalidInstanceError(f"jobs missing from all classes: {missing[:10]}")
-    return Schedule(instance, assignment, check=check)
+    return Schedule(instance, assignment)
 
 
 def graph_aware_greedy(

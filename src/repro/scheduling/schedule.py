@@ -10,12 +10,12 @@ incompatibility graph, and no job sits on a machine that forbids it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.exceptions import InvalidScheduleError
 from repro.scheduling.instance import SchedulingInstance
 
-__all__ = ["Schedule", "schedule_from_groups"]
+__all__ = ["Schedule"]
 
 
 class Schedule:
@@ -149,24 +149,3 @@ class Schedule:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Schedule(makespan={self.makespan}, m={self.instance.m})"
-
-
-def schedule_from_groups(
-    instance: SchedulingInstance,
-    groups: Mapping[int, Iterable[int]],
-    check: bool = True,
-) -> Schedule:
-    """Build a schedule from a ``machine -> jobs`` mapping.
-
-    Every job must appear exactly once across all groups.
-    """
-    assignment = [-1] * instance.n
-    for machine, jobs in groups.items():
-        for j in jobs:
-            if assignment[j] != -1:
-                raise InvalidScheduleError(f"job {j} assigned twice")
-            assignment[j] = machine
-    missing = [j for j, i in enumerate(assignment) if i == -1]
-    if missing:
-        raise InvalidScheduleError(f"jobs not assigned: {missing[:10]}")
-    return Schedule(instance, assignment, check=check)

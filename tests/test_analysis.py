@@ -1,11 +1,9 @@
-"""Tests for the analysis harness (ratios, tables, sweeps, suites)."""
+"""Tests for the analysis harness (ratios, tables, suites)."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from repro.analysis.experiments import ExperimentRow, run_grid
 from repro.analysis.ratio import RatioStats, collect_ratio_stats, ratio_of
 from repro.analysis.suites import (
     job_weight_profile,
@@ -55,28 +53,6 @@ class TestTables:
     def test_row_width_checked(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-
-class TestRunGrid:
-    def test_cartesian_product_order(self):
-        rows = run_grid(
-            {"a": [1, 2], "b": ["x", "y"]},
-            lambda rng, a, b: {"key": f"{a}{b}"},
-            seed=0,
-        )
-        assert [r.results["key"] for r in rows] == ["1x", "1y", "2x", "2y"]
-
-    def test_rngs_deterministic(self):
-        def measure(rng, a):
-            return {"v": int(rng.integers(0, 1 << 30))}
-
-        r1 = run_grid({"a": [1, 2]}, measure, seed=5)
-        r2 = run_grid({"a": [1, 2]}, measure, seed=5)
-        assert [x.results for x in r1] == [x.results for x in r2]
-
-    def test_cells_flatten(self):
-        row = ExperimentRow(params={"a": 1}, results={"v": 2.0})
-        assert row.cells(["a"], ["v"]) == [1, 2.0]
 
 
 class TestSuites:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     ALGORITHMS,
@@ -16,10 +17,17 @@ from repro.engine import (
     solve,
     unregister_algorithm,
 )
-from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
+from repro.exceptions import (
+    InfeasibleInstanceError,
+    InvalidInstanceError,
+    NotBipartiteError,
+    ReproError,
+)
 from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph, two_coloring
 from repro.scheduling.instance import (
+    UniformInstance,
     UnrelatedInstance,
     unit_uniform_instance,
 )
@@ -40,6 +48,64 @@ def _r2_forbidden():
     # job 1 cannot run on machine 0; jobs 0 and 2 conflict
     graph = BipartiteGraph(3, [(0, 2)], side=[0, 0, 1])
     return UnrelatedInstance(graph, [[1, None, 2], [3, 4, 5]])
+
+
+@st.composite
+def _two_colorable_graphs(draw):
+    """A forest or star stored as a ``BlockGraph``, or ``K_{a,b}`` plus
+    free vertices stored as a ``CompleteMultipartiteGraph``, on shuffled
+    vertex ids."""
+    kind = draw(st.sampled_from(["forest", "star", "join"]))
+    if kind == "forest":
+        n = draw(st.integers(0, 9))
+        ids = draw(st.permutations(range(n)))
+        # each vertex after the first hangs off an earlier one or roots a tree
+        parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+        edges = [(ids[p], ids[v]) for v, p in enumerate(parents, 1) if p >= 0]
+        return BlockGraph(n, edges)
+    if kind == "star":
+        leaves, free = draw(st.integers(0, 7)), draw(st.integers(0, 2))
+        ids = draw(st.permutations(range(leaves + 1 + free)))
+        return BlockGraph(len(ids), [(ids[0], ids[i]) for i in range(1, leaves + 1)])
+    a, b, free = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    ids = draw(st.permutations(range(a + b + free)))
+    return CompleteMultipartiteGraph(len(ids), [ids[:a], ids[a : a + b]])
+
+
+@st.composite
+def _two_colorable_instances(draw):
+    """``(graph, builds)``: each ``build(g)`` puts one set of job data on
+    ``g``, for m = 1..4: Q with unit jobs, Q with weighted jobs, and R
+    with some forbidden pairs."""
+    graph = draw(_two_colorable_graphs())
+    n = graph.n
+    p = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    speed = st.sampled_from([F(1), F(3, 2), F(2), F(3)])
+    if draw(st.booleans()):
+        speeds = [F(1)] * 4
+    else:
+        speeds = sorted(draw(st.lists(speed, min_size=4, max_size=4)), reverse=True)
+    allowed = st.sampled_from([1, 2, 3, 5, 8, 13])
+    time = st.sampled_from([None, 1, 2, 3, 5, 8, 13]) if draw(st.booleans()) else allowed
+    # machine 0 allows every job, so each prefix of the rows is an instance
+    times = [draw(st.lists(allowed, min_size=n, max_size=n))]
+    times += [draw(st.lists(time, min_size=n, max_size=n)) for _ in range(3)]
+    builds = []
+    for m in range(1, 5):
+        builds.append(lambda g, m=m: UniformInstance(g, [1] * n, speeds[:m]))
+        builds.append(lambda g, m=m: UniformInstance(g, p, speeds[:m]))
+        builds.append(lambda g, m=m: UnrelatedInstance(g, times[:m]))
+    return graph, builds
+
+
+def _outcome(instance, name):
+    """``solve``'s schedule as ``(assignment, makespan)``, or its typed
+    error as ``(type, message)``."""
+    try:
+        schedule = solve(instance, algorithm=name)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return schedule.assignment, schedule.makespan
 
 
 class TestCapability:
@@ -269,15 +335,12 @@ class TestRegistry:
 
 
 class TestGraphRepresentationCoercion:
-    """Bipartite-gated algorithms must run on *structurally* bipartite
-    graphs stored in other representations (the gate is
-    :func:`is_bipartite_structure`, the implementations need a concrete
-    :class:`BipartiteGraph` side witness)."""
+    """Bipartite-gated algorithms run on *structurally* bipartite graphs
+    stored in any representation, as they are stored: the gate is
+    :func:`is_bipartite_structure`, and the implementations read
+    adjacency and ``graph.side``, which every 2-colorable graph has."""
 
     def _forest_block_instance(self):
-        from repro.graphs.conflict import BlockGraph
-        from repro.scheduling.instance import UniformInstance
-
         # a path 0-1-2 plus an edge 3-4 plus isolated 5,6: a forest, so
         # 2-colorable, but stored as a BlockGraph (edges are the blocks)
         graph = BlockGraph(7, [(0, 1), (1, 2), (3, 4)])
@@ -291,37 +354,46 @@ class TestGraphRepresentationCoercion:
         assert schedule.instance is inst
         assert schedule.is_feasible()
 
-    def test_execute_matches_native_bipartite_run(self):
-        from repro.graphs.structure import as_bipartite_graph
+    @settings(max_examples=100, deadline=None)
+    @given(case=_two_colorable_instances())
+    def test_bipartite_methods_match_the_bipartite_graph_run(self, case):
+        graph, builds = case
+        native = BipartiteGraph(graph.n, graph.edges(), side=two_coloring(graph))
+        names = [
+            spec.name
+            for spec in REGISTRY.specs()
+            if spec.capability.graph in ("bipartite", "complete_bipartite")
+        ]
+        assert len(names) >= 11
+        for build in builds:
+            for name in names:
+                got = _outcome(build(graph), name)
+                assert got == _outcome(build(native), name), (name, build(graph))
 
-        inst = self._forest_block_instance()
-        native = inst.with_graph(as_bipartite_graph(inst.graph))
-        coerced = solve(inst, algorithm="sqrt_approx")
-        direct = solve(native, algorithm="sqrt_approx")
-        assert coerced.assignment == direct.assignment
-
-    def test_as_bipartite_graph_preserves_structure(self):
-        from repro.graphs.bipartite import BipartiteGraph
-        from repro.graphs.conflict import BlockGraph
-        from repro.graphs.structure import as_bipartite_graph
-
-        graph = BlockGraph(5, [(0, 1), (1, 2)])
-        bip = as_bipartite_graph(graph)
-        assert isinstance(bip, BipartiteGraph)
-        assert bip.n == graph.n
-        assert {frozenset(e) for e in bip.edges()} == {
-            frozenset(e) for e in graph.edges()
-        }
-        assert bip.side[0] != bip.side[1]
-        assert bip.side[1] != bip.side[2]
-        # BipartiteGraph inputs pass through unchanged
-        assert as_bipartite_graph(bip) is bip
-
-    def test_as_bipartite_graph_rejects_odd_cycle(self):
-        from repro.exceptions import NotBipartiteError
-        from repro.graphs.conflict import BlockGraph
-        from repro.graphs.structure import as_bipartite_graph
-
+    def test_side_rejects_odd_cycle(self):
         triangle = BlockGraph(3, [(0, 1, 2)])
-        with pytest.raises(NotBipartiteError):
-            as_bipartite_graph(triangle)
+        with pytest.raises(NotBipartiteError, match="odd cycle"):
+            triangle.side
+        with pytest.raises(NotBipartiteError, match="odd cycle"):
+            triangle.vertices_on_side(0)
+        with pytest.raises(NotBipartiteError, match="odd cycle"):
+            BipartiteGraph(3, [(0, 1), (1, 2), (0, 2)])
+
+    def test_bipartite_graph_side_is_its_declared_witness(self):
+        # the canonical 2-coloring puts each component's smallest vertex
+        # on side 0; this witness puts every one of them on side 1
+        edges = [(0, 1), (1, 2), (3, 4)]
+        declared = (1, 0, 1, 1, 0, 1)
+        graph = BipartiteGraph(6, edges, side=declared)
+        assert two_coloring(graph) == (0, 1, 0, 0, 1, 0)
+        assert graph.side == declared
+        assert graph.vertices_on_side(0) == [1, 4]
+        assert graph.parts() == ((1, 4), (0, 2, 3, 5))
+
+    def test_side_of_other_representations_is_their_two_coloring(self):
+        forest = BlockGraph(7, [(2, 1), (1, 0), (4, 3)])
+        assert forest.side == two_coloring(forest) == (0, 1, 0, 0, 1, 0, 0)
+        assert forest.vertices_on_side(1) == [1, 4]
+        # K_{2,2} on shuffled ids plus a free vertex
+        join = CompleteMultipartiteGraph(5, [(3, 1), (4, 0)])
+        assert join.side == two_coloring(join) == (0, 1, 0, 1, 0)

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.components import component_subgraphs, connected_components
+from repro.graphs.components import connected_components
 from repro.graphs.generators import matching_graph, path_graph
 
 
@@ -28,19 +28,6 @@ class TestConnectedComponents:
         g = BipartiteGraph(6, [(4, 5), (0, 1)])
         comps = connected_components(g)
         assert comps == [[0, 1], [2], [3], [4, 5]]
-
-
-class TestComponentSubgraphs:
-    def test_subgraphs_partition_vertices(self):
-        g = BipartiteGraph(7, [(0, 1), (2, 3), (3, 4)])
-        parts = component_subgraphs(g)
-        seen = sorted(v for _, ids in parts for v in ids)
-        assert seen == list(range(7))
-
-    def test_subgraph_edges_match(self):
-        g = BipartiteGraph(5, [(0, 1), (1, 2), (3, 4)])
-        parts = component_subgraphs(g)
-        assert [sub.edge_count for sub, _ in parts] == [2, 1]
 
 
 @given(st.integers(0, 12), st.data())

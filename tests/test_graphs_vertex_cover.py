@@ -1,4 +1,4 @@
-"""Tests for König and weighted minimum vertex covers."""
+"""Tests for weighted minimum vertex covers."""
 
 import random
 
@@ -7,13 +7,9 @@ import pytest
 
 from repro.graphs import vertex_cover
 from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.generators import complete_bipartite, matching_graph, path_graph, star
+from repro.graphs.generators import complete_bipartite, path_graph, star
 from repro.graphs.matching import maximum_matching_size
-from repro.graphs.vertex_cover import (
-    is_vertex_cover,
-    konig_vertex_cover,
-    min_weight_vertex_cover,
-)
+from repro.graphs.vertex_cover import is_vertex_cover, min_weight_vertex_cover
 
 from tests.conftest import random_bipartite
 
@@ -25,28 +21,6 @@ def brute_min_cover_weight(g: BipartiteGraph, weights) -> int:
         if is_vertex_cover(g, cover):
             best = min(best, sum(weights[v] for v in cover))
     return best
-
-
-class TestKonig:
-    def test_star_covers_with_center(self):
-        cover = konig_vertex_cover(star(5))
-        assert cover == {0}
-
-    def test_matching_graph(self):
-        cover = konig_vertex_cover(matching_graph(3))
-        assert len(cover) == 3
-        assert is_vertex_cover(matching_graph(3), cover)
-
-    def test_cover_size_equals_matching(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            g = random_bipartite(rng)
-            cover = konig_vertex_cover(g)
-            assert is_vertex_cover(g, cover)
-            assert len(cover) == maximum_matching_size(g)
-
-    def test_empty_graph(self):
-        assert konig_vertex_cover(BipartiteGraph(4, [])) == set()
 
 
 class TestWeightedCover:

@@ -8,7 +8,7 @@ from repro.exceptions import InvalidInstanceError, InvalidScheduleError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import matching_graph, path_graph
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
-from repro.scheduling.schedule import Schedule, schedule_from_groups
+from repro.scheduling.schedule import Schedule
 
 
 def simple_instance(m: int = 2) -> UniformInstance:
@@ -98,23 +98,6 @@ class TestKeptVerdict:
         assert inst.machine_completion(1, []) == 0
         with pytest.raises(InvalidInstanceError, match="job 2 is forbidden on machine 0"):
             inst.machine_completion(0, [1, 2])
-
-
-class TestScheduleFromGroups:
-    def test_roundtrip(self):
-        inst = simple_instance()
-        s = schedule_from_groups(inst, {0: [0, 2], 1: [1, 3]})
-        assert s.assignment == (0, 1, 0, 1)
-
-    def test_duplicate_assignment_rejected(self):
-        inst = simple_instance()
-        with pytest.raises(InvalidScheduleError, match="twice"):
-            schedule_from_groups(inst, {0: [0, 1], 1: [1, 2, 3]})
-
-    def test_missing_job_rejected(self):
-        inst = simple_instance()
-        with pytest.raises(InvalidScheduleError, match="not assigned"):
-            schedule_from_groups(inst, {0: [0, 2]})
 
 
 class TestEquality:
