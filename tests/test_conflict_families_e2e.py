@@ -16,7 +16,8 @@ from repro.certify import audit_instance
 from repro.engine import auto_choice, explain_dispatch, solve
 from repro.exceptions import InfeasibleInstanceError, InvalidInstanceError
 from repro.graphs import generators
-from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
+from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph, two_coloring
 from repro.io import (
     graph_from_dict,
     graph_to_dict,
@@ -44,6 +45,20 @@ def _cmp_instance():
 def _block_instance():
     graph = BlockGraph.chain([3, 2, 3])
     return UniformInstance(graph, [2, 1, 3, 1, 2, 4], [F(2), F(1), F(1)])
+
+
+def _forest_block_instance():
+    # a forest (two trees and an isolated vertex) stored as a BlockGraph,
+    # so 2-colorable and open to the bipartite methods as it is stored
+    graph = BlockGraph(8, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)])
+    return UniformInstance(graph, [5, 3, 4, 2, 6, 1, 3, 2], [F(3), F(2), F(1)])
+
+
+def _as_bipartite_graph_instance(inst):
+    """``inst``'s jobs and machines on the ``BipartiteGraph`` with the
+    same edges, whose declared witness is the graph's 2-coloring."""
+    graph = BipartiteGraph(inst.graph.n, inst.graph.edges(), side=two_coloring(inst.graph))
+    return UniformInstance(graph, inst.p, inst.speeds)
 
 
 def _masked_instance():
@@ -214,6 +229,31 @@ class TestEngineEndToEnd:
         assert result.schedule.is_feasible()
         assert result.chosen in {e.algorithm for e in result.entries}
 
+    def test_explain_on_block_forest_matches_bipartite_graph(self):
+        inst = _forest_block_instance()
+        report = explain_dispatch(inst)
+        native = explain_dispatch(_as_bipartite_graph_instance(inst))
+        assert report.chosen == native.chosen == "sqrt_approx"
+        assert [(e.name, e.applicable) for e in report.entries] == [
+            (e.name, e.applicable) for e in native.entries
+        ]
+
+    def test_portfolio_races_bipartite_methods_on_block_forest(self):
+        from repro.engine import portfolio_solve
+
+        inst = _forest_block_instance()
+        result = portfolio_solve(inst)
+        native = portfolio_solve(_as_bipartite_graph_instance(inst))
+        assert result.schedule.instance is inst
+        assert "sqrt_approx" in {e.algorithm for e in result.entries}
+        assert (result.chosen, result.schedule.assignment) == (
+            native.chosen,
+            native.schedule.assignment,
+        )
+        assert [(e.algorithm, e.makespan, e.error) for e in result.entries] == [
+            (e.algorithm, e.makespan, e.error) for e in native.entries
+        ]
+
     def test_infeasible_multipartite_raises(self):
         graph = CompleteMultipartiteGraph.from_sizes([1, 1, 1])
         inst = unit_uniform_instance(graph, [F(1), F(1)])
@@ -261,6 +301,15 @@ class TestCertifyEndToEnd:
         split = by_algorithm["conflict_color_split"]
         assert split.status in ("ok", "ok_vs_bound", "no_guarantee")
         assert split.makespan is not None  # it did produce a schedule
+
+    def test_audit_block_forest_matches_bipartite_graph(self):
+        inst = _forest_block_instance()
+        rows = audit_instance("forest", inst, oracle_max_n=8)
+        native = audit_instance("forest", _as_bipartite_graph_instance(inst), oracle_max_n=8)
+        self._assert_clean(rows)
+        by_algorithm = {row.algorithm: row for row in rows}
+        assert by_algorithm["sqrt_approx"].status == "ok"
+        assert [row.to_dict() for row in rows] == [row.to_dict() for row in native]
 
     def test_audit_masked_instance(self):
         rows = audit_instance("masked", _masked_instance(), oracle_max_n=6)

@@ -116,6 +116,55 @@ class TestVariants:
             assert sqrt_approx_ablation(inst, variant).makespan == 2
 
 
+class TestEntryChecks:
+    """Every variant answers or refuses what Algorithm 1 settles before
+    step 2 exactly as Algorithm 1 does: the knobs vary no step there."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            UniformInstance(generators.empty_graph(0), [], [F(2), F(1)]),
+            UniformInstance(generators.empty_graph(3), [9, 8, 7], [F(2)]),
+            UniformInstance(
+                generators.path_graph(4), [5, 4, 3, 2], [F(3), F(2), F(1)]
+            ),
+        ],
+        ids=["no-jobs", "one-machine", "total-at-most-16"],
+    )
+    def test_base_cases_return_algorithm1s_schedule(self, inst):
+        reference = sqrt_approx_schedule(inst).schedule
+        for variant in ABLATION_VARIANTS:
+            schedule = sqrt_approx_ablation(inst, variant)
+            assert schedule.assignment == reference.assignment, variant
+
+    @pytest.mark.parametrize(
+        "inst, error",
+        [
+            (
+                UniformInstance(
+                    BipartiteGraph(4, [(0, 1)]),
+                    [9, 9, 1, 1],
+                    [F(2), F(1), F(1)],
+                    eligible=[[0, 1], None, None, None],
+                ),
+                InvalidInstanceError,
+            ),
+            (
+                UniformInstance(BipartiteGraph(3, [(0, 1)]), [9, 9, 1], [F(1)]),
+                InfeasibleInstanceError,
+            ),
+        ],
+        ids=["eligibility-mask", "one-machine-with-edge"],
+    )
+    def test_refusals_match_algorithm1(self, inst, error):
+        with pytest.raises(error) as expected:
+            sqrt_approx_schedule(inst)
+        for variant in ABLATION_VARIANTS:
+            with pytest.raises(error) as got:
+                sqrt_approx_ablation(inst, variant)
+            assert str(got.value) == str(expected.value), variant
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2000),

@@ -76,6 +76,45 @@ class TestBalancedVariant:
         assert worse == 0
 
 
+class TestSharedEntryChecks:
+    """The balanced variant answers or refuses what Algorithm 2 settles
+    before its step 1 exactly as plain Algorithm 2 does."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            unit_uniform_instance(generators.empty_graph(0), [F(2), F(1)]),
+            unit_uniform_instance(generators.empty_graph(5), [F(3)]),
+        ],
+        ids=["no-jobs", "one-machine"],
+    )
+    def test_base_cases_match_plain_algorithm2(self, inst):
+        plain = random_graph_schedule(inst)
+        balanced = random_graph_schedule_balanced(inst)
+        assert balanced.assignment == plain.assignment
+
+    @pytest.mark.parametrize(
+        "inst, error",
+        [
+            (
+                UniformInstance(BipartiteGraph(3, [(0, 1)]), [1, 2, 1], [F(2), F(1)]),
+                InvalidInstanceError,
+            ),
+            (
+                unit_uniform_instance(BipartiteGraph(3, [(0, 1)]), [F(1)]),
+                InfeasibleInstanceError,
+            ),
+        ],
+        ids=["non-unit-jobs", "one-machine-with-edge"],
+    )
+    def test_refusals_match_plain_algorithm2(self, inst, error):
+        with pytest.raises(error) as plain:
+            random_graph_schedule(inst)
+        with pytest.raises(error) as balanced:
+            random_graph_schedule_balanced(inst)
+        assert str(balanced.value) == str(plain.value)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 20),

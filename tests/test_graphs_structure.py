@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import generators
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.conflict import BlockGraph, CompleteMultipartiteGraph
 from repro.graphs.structure import (
     analyze_structure,
     complete_bipartite_parts,
@@ -166,6 +167,28 @@ class TestCompleteBipartite:
 
     def test_with_free_rejects_double_star(self):
         assert complete_bipartite_parts_with_free(generators.double_star(2, 2)) is None
+
+    def test_with_free_splits_two_class_multipartite_by_side(self):
+        # K_{2,3} on shuffled ids plus free vertex 2: side 0 holds vertex 0
+        graph = CompleteMultipartiteGraph(6, [(4, 1), (0, 3, 5)])
+        assert complete_bipartite_parts_with_free(graph) == ([0, 3, 5], [1, 4], [2])
+
+    def test_with_free_splits_block_star_by_side(self):
+        # a star centred on 3, stored as a BlockGraph of three edges
+        graph = BlockGraph(6, [(3, 0), (3, 5), (3, 1)])
+        assert complete_bipartite_parts_with_free(graph) == ([0, 1, 5], [3], [2, 4])
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            CompleteMultipartiteGraph.from_sizes([1, 1, 1]),
+            BlockGraph(4, [(0, 1, 2)]),
+            BlockGraph(4, [(0, 1), (1, 2), (2, 3)]),
+        ],
+        ids=["three-classes", "block-triangle", "block-path"],
+    )
+    def test_with_free_rejects_other_representations(self, graph):
+        assert complete_bipartite_parts_with_free(graph) is None
 
     def test_k1b_is_a_star(self):
         # stars are complete bipartite with a = 1
